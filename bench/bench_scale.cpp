@@ -3,27 +3,26 @@
 //
 // For each fat-tree size (k = 4, 8, 16, 32 -> 20, 80, 320, 1280 devices)
 // the bench runs the distributed protocol twice over inproc transports
-// with a collect round after every phase:
+// with a collect round after every phase, both with delta digests (a full
+// anchor only for a device's first round):
 //
-//   star: fanout 0 (every rank reports straight to the coordinator),
-//         anchor_every 1 (full digest rows every round — legacy bytes);
-//   tree: fanout 2 (interior device ranks merge their subtree's rollups),
-//         anchor_every 0 (delta digests after the first anchor).
+//   star: fanout 0 (every rank reports straight to the coordinator);
+//   tree: fanout 2 (interior device ranks merge their subtree's rollups).
 //
 // The headline series is coordinator ingress: root_rollup_bytes, the wire
 // bytes of verdict rollups arriving at rank 0. Under the tree the root
-// sees one merged frame per round carrying deltas, so its ingress grows
-// sub-linearly with device count; under the star it sees one full-digest
-// frame per rank per round. Both runs must produce byte-identical digest
-// rows — the curves are only comparable because the answers agree.
+// sees one merged frame per round per direct child; under the star it
+// sees one frame per rank per round. Both runs must produce
+// byte-identical digest rows — the curves are only comparable because the
+// answers agree.
 //
 //   ./bench_scale                       # all four sizes, quick profile
 //   ./bench_scale --updates=8 --json=BENCH_SCALE.json
 //   ./bench_scale --kmax=16             # cap the largest fat-tree
 //
-// A forked-UDS row (k=4, tree + catch-up recovery) closes the file: same
-// protocol over real sockets and processes, sanity-checking that the
-// inproc curves are not an artifact of loopback transports.
+// A forked-UDS row (k=4, tree) closes the file: same protocol over real
+// sockets and processes, sanity-checking that the inproc curves are not an
+// artifact of loopback transports.
 #include "common.hpp"
 
 using namespace tulkun;
@@ -103,8 +102,7 @@ struct RunRow {
 };
 
 RunRow run_once(const eval::DatasetSpec& spec, const ScaleArgs& a,
-                net::TransportKind kind, std::size_t fanout,
-                std::uint32_t anchor_every, runtime::RecoveryMode recovery) {
+                net::TransportKind kind, std::size_t fanout) {
   auto& reg = obs::Registry::instance();
   const std::uint64_t bytes0 = reg.counter("coord_root_rollup_bytes").value();
   const std::uint64_t frames0 =
@@ -118,8 +116,6 @@ RunRow run_once(const eval::DatasetSpec& spec, const ScaleArgs& a,
   dist.device_procs = a.procs;
   dist.n_updates = a.updates;
   dist.fanout = fanout;
-  dist.recovery = recovery;
-  dist.anchor_every = anchor_every;
   dist.collect_every_phase = true;
   const auto res = eval::dist_run(spec, opts, dist);
 
@@ -165,12 +161,9 @@ int main(int argc, char** argv) {
     const std::uint32_t devices = 5 * k * k / 4;
     const std::string tag = "ft" + std::to_string(k);
 
-    const auto star = run_once(spec, a, net::TransportKind::Inproc,
-                               /*fanout=*/0, /*anchor_every=*/1,
-                               runtime::RecoveryMode::Legacy);
-    const auto tree = run_once(spec, a, net::TransportKind::Inproc, a.fanout,
-                               /*anchor_every=*/0,
-                               runtime::RecoveryMode::Legacy);
+    const auto star =
+        run_once(spec, a, net::TransportKind::Inproc, /*fanout=*/0);
+    const auto tree = run_once(spec, a, net::TransportKind::Inproc, a.fanout);
     const bool match = star.rows == tree.rows &&
                        star.violations == tree.violations;
     all_match = all_match && match;
@@ -201,11 +194,9 @@ int main(int argc, char** argv) {
 
   if (!a.skip_uds) {
     // Ground the loopback curves: same tree protocol, real forked
-    // processes over Unix sockets, catch-up recovery armed.
+    // processes over Unix sockets.
     const auto spec = fat_tree_spec(4, a.seed);
-    const auto uds = run_once(spec, a, net::TransportKind::Unix, a.fanout,
-                              /*anchor_every=*/0,
-                              runtime::RecoveryMode::Catchup);
+    const auto uds = run_once(spec, a, net::TransportKind::Unix, a.fanout);
     std::printf("%-8s %9u %6s %16llu %14llu %9.3fs %7.3fs\n", "FTk4/uds", 20u,
                 "tree",
                 static_cast<unsigned long long>(uds.root_rollup_bytes),

@@ -48,8 +48,6 @@ struct CliArgs {
   std::size_t procs = 2;  // local role only
   std::uint32_t kill_phase = runtime::DeviceProcess::kNoKillPhase;
   std::size_t tree_fanout = 0;  // 0 = flat star coordination
-  runtime::RecoveryMode recovery = runtime::RecoveryMode::Legacy;
-  std::uint32_t anchor_every = 1;
   net::PeerId rank = 1;  // device role only
   std::string listen;
   std::string peers;
@@ -87,10 +85,6 @@ CliArgs parse(int argc, char** argv) {
       a.kill_phase = static_cast<std::uint32_t>(std::stoul(v));
     } else if (const char* v = value("--tree-fanout=")) {
       a.tree_fanout = std::stoul(v);
-    } else if (const char* v = value("--recovery=")) {
-      a.recovery = runtime::parse_recovery_mode(v);
-    } else if (const char* v = value("--anchor-every=")) {
-      a.anchor_every = static_cast<std::uint32_t>(std::stoul(v));
     } else if (const char* v = value("--rank=")) {
       a.rank = static_cast<net::PeerId>(std::stoul(v));
     } else if (const char* v = value("--listen=")) {
@@ -111,7 +105,6 @@ CliArgs parse(int argc, char** argv) {
              "common: --dataset=NAME --updates=N --seed=N --max-dst=N\n"
              "        --transport=inproc|uds|tcp\n"
              "        --tree-fanout=N (0 = flat star coordination)\n"
-             "        --recovery=legacy|catchup --anchor-every=N\n"
              "        --trace-out=FILE (Chrome trace JSON; see README)\n"
              "        --metrics-listen=IP:PORT (Prometheus text endpoint)\n";
       std::exit(0);
@@ -236,27 +229,25 @@ int main(int argc, char** argv) {
       dist.kind = args.kind;
       dist.device_procs = args.procs;
       dist.n_updates = args.updates;
-      dist.kill_rank1_at_phase = args.kill_phase;
+      if (args.kill_phase != runtime::DeviceProcess::kNoKillPhase) {
+        dist.kills.push_back({1, args.kill_phase});
+      }
       dist.collect_trace = !args.trace_out.empty();
       dist.fanout = args.tree_fanout;
-      dist.recovery = args.recovery;
-      dist.anchor_every = args.anchor_every;
       auto res = eval::dist_run(spec, opts, dist);
       traces = std::move(res.traces);
       report(res);
     } else if (args.role == "coordinator") {
       const auto eps = endpoint_table(args, runtime::kCoordinatorRank);
       auto res = eval::dist_run_coordinator(spec, opts, args.updates, eps,
-                                            args.tree_fanout, args.recovery);
+                                            args.tree_fanout);
       traces = std::move(res.traces);
       report(res);
     } else if (args.role == "device") {
       const auto eps = endpoint_table(args, args.rank);
       eval::dist_run_device(spec, opts, args.updates, eps, args.rank,
-                            /*incarnation=*/0,
-                            runtime::DeviceProcess::kNoKillPhase,
-                            /*chaos=*/{}, /*churn=*/nullptr, args.tree_fanout,
-                            args.recovery, args.anchor_every);
+                            /*incarnation=*/0, /*kill=*/nullptr,
+                            /*chaos=*/{}, /*churn=*/nullptr, args.tree_fanout);
       std::cout << "device rank " << args.rank << " done\n";
     } else {
       throw Error("unknown --role=" + args.role);

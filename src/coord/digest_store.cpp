@@ -81,11 +81,10 @@ std::size_t DigestStore::row_count() const {
 
 dvm::DigestDelta diff_rows(std::uint32_t device,
                            const std::vector<std::string>& baseline,
-                           const std::vector<std::string>& now,
-                           bool force_full) {
+                           const std::vector<std::string>& now) {
   dvm::DigestDelta d;
   d.device = device;
-  if (force_full || baseline.empty()) {
+  if (baseline.empty()) {
     d.full = true;
     d.added = now;
     return d;

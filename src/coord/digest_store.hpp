@@ -29,8 +29,8 @@ class DigestStore {
  public:
   /// Applies a delta list: full entries replace the device's rows, partial
   /// entries remove then add with multiset semantics. Unknown removals are
-  /// ignored (a hostile or skewed peer cannot corrupt more than its own
-  /// device's rows; the periodic anchors re-converge them).
+  /// ignored, so a hostile or skewed peer cannot corrupt more than its own
+  /// device's rows (which stay wrong until that device anchors again).
   void apply(const std::vector<dvm::DigestDelta>& deltas);
 
   void replace(std::uint32_t device, std::vector<std::string> rows);
@@ -58,11 +58,11 @@ class DigestStore {
 };
 
 /// The sender side: the delta that turns `baseline` into `now` (both must
-/// be sorted). Forces a full anchor when asked (or when baseline is empty
-/// and now is not, where a delta would be no smaller anyway).
+/// be sorted). An empty baseline yields a full anchor — a delta would be no
+/// smaller, and the receiver may hold stale rows for the device (a reborn
+/// rank without a snapshot) that the anchor must replace.
 [[nodiscard]] dvm::DigestDelta diff_rows(std::uint32_t device,
                                          const std::vector<std::string>& baseline,
-                                         const std::vector<std::string>& now,
-                                         bool force_full);
+                                         const std::vector<std::string>& now);
 
 }  // namespace tulkun::coord

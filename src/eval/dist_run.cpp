@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <thread>
 
 #include "net/inproc.hpp"
@@ -125,7 +126,7 @@ DistRunResult drive(runtime::DistCoordinator& coord, std::size_t n_updates,
   res.violations = col.violations;
   res.rows = std::move(col.rows);
   res.metrics = std::move(col.metrics);
-  res.resets = col.epoch;  // one epoch bump per reset survived
+  res.resets = col.epoch;  // one epoch bump per catch-up survived
   res.entries = std::move(col.entries);
   res.traces = std::move(col.traces);
   if (obs::trace_enabled()) {
@@ -138,20 +139,17 @@ DistRunResult drive(runtime::DistCoordinator& coord, std::size_t n_updates,
 }
 
 [[nodiscard]] runtime::DistCoordinator::Config coordinator_config(
-    std::size_t n_device_procs, std::size_t fanout = 0,
-    runtime::RecoveryMode recovery = runtime::RecoveryMode::Legacy) {
+    std::size_t n_device_procs, std::size_t fanout) {
   runtime::DistCoordinator::Config cfg;
   cfg.n_device_procs = n_device_procs;
   cfg.fanout = fanout;
-  cfg.recovery = recovery;
   return cfg;
 }
 
 DistRunResult dist_run_inproc(const DatasetSpec& spec,
                               const HarnessOptions& opts,
                               const DistOptions& dist) {
-  if (dist.kill_rank1_at_phase != runtime::DeviceProcess::kNoKillPhase ||
-      !dist.kills.empty()) {
+  if (!dist.kills.empty()) {
     throw Error("kill schedules require process isolation (uds|tcp)");
   }
   if (dist.collect_trace) obs::set_trace_enabled(true);
@@ -180,8 +178,6 @@ DistRunResult dist_run_inproc(const DatasetSpec& spec,
     dcfg.n_device_procs = P;
     dcfg.engine = opts.engine;
     dcfg.fanout = dist.fanout;
-    dcfg.recovery = dist.recovery;
-    dcfg.anchor_every = dist.anchor_every;
     procs.push_back(std::make_unique<runtime::DeviceProcess>(
         *wire, harness.topology(), builder, dcfg));
   }
@@ -207,7 +203,7 @@ DistRunResult dist_run_inproc(const DatasetSpec& spec,
     coord_wire = coord_chaos.get();
   }
   runtime::DistCoordinator coord(
-      *coord_wire, coordinator_config(P, dist.fanout, dist.recovery));
+      *coord_wire, coordinator_config(P, dist.fanout));
   auto res = drive(coord, dist.n_updates, dist.hooks, dist.collect_every_phase);
   coord.shutdown();
   for (auto& t : threads) t.join();
@@ -232,10 +228,8 @@ struct ChildArgs {
   std::string dir;
   std::uint16_t base_port = 0;
   std::size_t n_updates = 0;
-  std::uint32_t kill_at_phase = runtime::DeviceProcess::kNoKillPhase;
+  std::optional<scenario::KillSpec> kill;
   std::size_t fanout = 0;
-  runtime::RecoveryMode recovery = runtime::RecoveryMode::Legacy;
-  std::uint32_t anchor_every = 1;
   std::string world;
   std::string chaos;  // scenario::format_chaos_arg, empty = no chaos
   std::string churn;  // scenario::format_churn_arg, empty = legacy stream
@@ -252,15 +246,16 @@ pid_t spawn_child(const ChildArgs& a, std::uint32_t incarnation) {
       "--dir=" + a.dir,
       "--base-port=" + std::to_string(a.base_port),
       "--updates=" + std::to_string(a.n_updates),
-      "--kill-phase=" + std::to_string(a.kill_at_phase),
       "--fanout=" + std::to_string(a.fanout),
-      "--recovery=" + std::string(runtime::recovery_mode_name(a.recovery)),
-      "--anchor=" + std::to_string(a.anchor_every),
       "--trace=" + std::string(obs::trace_enabled() ? "1" : "0"),
       "--world=" + a.world,
   };
   // The world string is comma-separated and frozen at 18 fields; scenario
   // profiles ride separate ';'-separated flags instead of extending it.
+  if (a.kill) {
+    args.push_back("--kill-phase=" + std::to_string(a.kill->phase));
+    args.push_back("--kill-frames=" + std::to_string(a.kill->after_frames));
+  }
   if (!a.chaos.empty()) args.push_back("--chaos=" + a.chaos);
   if (!a.churn.empty()) args.push_back("--churn=" + a.churn);
   // The xform kill switch is process-global; mirror it into every child so
@@ -311,8 +306,6 @@ DistRunResult dist_run(const DatasetSpec& spec, const HarnessOptions& opts,
   base.base_port = base_port;
   base.n_updates = dist.n_updates;
   base.fanout = dist.fanout;
-  base.recovery = dist.recovery;
-  base.anchor_every = dist.anchor_every;
   base.world = encode_world(spec, opts);
   if (dist.chaos.enabled()) {
     base.chaos = scenario::format_chaos_arg(dist.chaos);
@@ -321,7 +314,7 @@ DistRunResult dist_run(const DatasetSpec& spec, const HarnessOptions& opts,
 
   // Supervisor state: pid -> rank of every live child; a child that dies
   // while the run is active is re-forked with a bumped incarnation (the
-  // coordinator notices the new Hello and replays). The respawn cap stops
+  // coordinator notices the new Hello and catches it up). The respawn cap stops
   // fork storms if a child crashes deterministically.
   constexpr std::uint32_t kMaxRespawns = 16;
   std::mutex mu;
@@ -329,18 +322,17 @@ DistRunResult dist_run(const DatasetSpec& spec, const HarnessOptions& opts,
   std::map<net::PeerId, std::uint32_t> incarnation;
   std::atomic<bool> shutting{false};
 
-  const auto kill_phase_of = [&](net::PeerId rank) {
-    std::uint32_t phase = rank == 1 ? dist.kill_rank1_at_phase
-                                    : runtime::DeviceProcess::kNoKillPhase;
+  const auto kill_of = [&](net::PeerId rank) {
+    std::optional<scenario::KillSpec> kill;
     for (const auto& k : dist.kills) {
-      if (k.rank == rank) phase = std::min(phase, k.phase);
+      if (k.rank == rank && (!kill || k.phase < kill->phase)) kill = k;
     }
-    return phase;
+    return kill;
   };
   const auto spawn_rank = [&](net::PeerId rank, std::uint32_t inc) {
     ChildArgs a = base;
     a.rank = rank;
-    a.kill_at_phase = kill_phase_of(rank);
+    a.kill = kill_of(rank);
     live[spawn_child(a, inc)] = rank;
   };
   {
@@ -383,7 +375,7 @@ DistRunResult dist_run(const DatasetSpec& spec, const HarnessOptions& opts,
       coord_wire = coord_chaos.get();
     }
     runtime::DistCoordinator coord(
-        *coord_wire, coordinator_config(P, dist.fanout, dist.recovery));
+        *coord_wire, coordinator_config(P, dist.fanout));
     res = drive(coord, dist.n_updates, dist.hooks, dist.collect_every_phase);
     shutting.store(true);
     coord.shutdown();
@@ -421,8 +413,7 @@ DistRunResult dist_run_coordinator(const DatasetSpec& spec,
                                    const HarnessOptions& opts,
                                    std::size_t n_updates,
                                    const std::vector<net::Endpoint>& endpoints,
-                                   std::size_t fanout,
-                                   runtime::RecoveryMode recovery) {
+                                   std::size_t fanout) {
   (void)spec;
   (void)opts;
   if (endpoints.size() < 2) throw Error("need >= 1 device endpoint");
@@ -430,7 +421,7 @@ DistRunResult dist_run_coordinator(const DatasetSpec& spec,
   net::SocketTransport transport(
       net::mesh_config(runtime::kCoordinatorRank, endpoints));
   runtime::DistCoordinator coord(transport,
-                                 coordinator_config(P, fanout, recovery));
+                                 coordinator_config(P, fanout));
   auto res = drive(coord, n_updates);
   coord.shutdown();
   transport.stop();
@@ -441,11 +432,10 @@ void dist_run_device(const DatasetSpec& spec, const HarnessOptions& opts,
                      std::size_t n_updates,
                      const std::vector<net::Endpoint>& endpoints,
                      net::PeerId rank, std::uint32_t incarnation,
-                     std::uint32_t kill_at_phase,
+                     const scenario::KillSpec* kill,
                      const scenario::ChaosProfile& chaos,
-                     const scenario::ChurnProfile* churn, std::size_t fanout,
-                     runtime::RecoveryMode recovery,
-                     std::uint32_t anchor_every) {
+                     const scenario::ChurnProfile* churn,
+                     std::size_t fanout) {
   if (rank == runtime::kCoordinatorRank || rank >= endpoints.size()) {
     throw Error("device rank out of range");
   }
@@ -463,10 +453,11 @@ void dist_run_device(const DatasetSpec& spec, const HarnessOptions& opts,
   dcfg.n_device_procs = endpoints.size() - 1;
   dcfg.engine = opts.engine;
   dcfg.incarnation = incarnation;
-  dcfg.kill_at_phase = kill_at_phase;
+  if (kill != nullptr) {
+    dcfg.kill_at_phase = kill->phase;
+    dcfg.kill_after_frames = kill->after_frames;
+  }
   dcfg.fanout = fanout;
-  dcfg.recovery = recovery;
-  dcfg.anchor_every = anchor_every;
   runtime::DeviceProcess proc(*wire, harness.topology(),
                               harness.world_builder(n_updates, churn), dcfg);
   proc.run();
@@ -515,8 +506,15 @@ bool maybe_run_device_role(int argc, char** argv) {
     const auto base_port =
         static_cast<std::uint16_t>(std::stoul(value("--base-port=")));
     const std::size_t updates = std::stoull(value("--updates="));
-    const auto kill_phase =
-        static_cast<std::uint32_t>(std::stoul(value("--kill-phase=")));
+    std::optional<scenario::KillSpec> kill;
+    const std::string kill_phase = value_or("--kill-phase=", "");
+    if (!kill_phase.empty()) {
+      kill.emplace();
+      kill->rank = rank;
+      kill->phase = static_cast<std::uint32_t>(std::stoul(kill_phase));
+      kill->after_frames = static_cast<std::uint32_t>(
+          std::stoul(value_or("--kill-frames=", "0")));
+    }
     if (value_or("--trace=", "0") == "1") obs::set_trace_enabled(true);
     if (value_or("--xform=", "1") == "0") xform::set_xform_enabled(false);
     DatasetSpec spec;
@@ -529,15 +527,11 @@ bool maybe_run_device_role(int argc, char** argv) {
     const std::string churn_arg = value_or("--churn=", "");
     if (!churn_arg.empty()) churn = scenario::parse_churn_arg(churn_arg);
     const std::size_t fanout = std::stoull(value_or("--fanout=", "0"));
-    const auto recovery =
-        runtime::parse_recovery_mode(value_or("--recovery=", "legacy"));
-    const auto anchor =
-        static_cast<std::uint32_t>(std::stoul(value_or("--anchor=", "1")));
     const auto endpoints =
         net::local_endpoints(kind, dir, procs + 1, base_port);
-    dist_run_device(spec, opts, updates, endpoints, rank, inc, kill_phase,
-                    chaos, churn ? &*churn : nullptr, fanout, recovery,
-                    anchor);
+    dist_run_device(spec, opts, updates, endpoints, rank, inc,
+                    kill ? &*kill : nullptr, chaos,
+                    churn ? &*churn : nullptr, fanout);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "tulkun device process: %s\n", e.what());
     std::fflush(stderr);

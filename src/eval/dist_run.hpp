@@ -5,7 +5,7 @@
 // (re-exec'ing this binary with a --tulkun-device-proc marker argv, so no
 // fork-with-threads hazards), runs the coordinator in-process, supervises
 // the children (a dead rank is re-forked with a bumped incarnation, which
-// triggers the coordinator's epoch-reset replay), and returns wall times,
+// triggers the coordinator's catch-up recovery), and returns wall times,
 // verdicts, the canonical state digest, and merged runtime + transport
 // metrics. kind == Inproc runs the same protocol on loopback transports
 // and threads instead of processes.
@@ -30,13 +30,11 @@ struct DistOptions {
   std::string socket_dir;
   /// First TCP port; rank r listens on base_port + r (0 = derive from pid).
   std::uint16_t base_port = 0;
-  /// Chaos hook: rank 1 _exits upon receiving Begin for this phase (its
-  /// first incarnation only); the supervisor re-forks it and the run must
-  /// reconverge through the epoch-reset protocol. Legacy single-kill form
-  /// of `kills`; both are honoured.
-  std::uint32_t kill_rank1_at_phase = runtime::DeviceProcess::kNoKillPhase;
-  /// Generalized kill schedule (requires process isolation, uds|tcp): each
-  /// entry's rank _exits on Begin of its phase, first incarnation only.
+  /// Chaos kill schedule (requires process isolation, uds|tcp): each
+  /// entry's rank _exits on its phase's Begin, or mid-cascade after the
+  /// entry's `after_frames` Data frames of the phase (first incarnation
+  /// only); the supervisor re-forks it and the run must reconverge through
+  /// catch-up recovery. A rank's earliest-phase entry wins.
   std::vector<scenario::KillSpec> kills;
   /// Transport fault injection: when chaos.enabled(), *every* rank's
   /// transport — coordinator included — is wrapped in a
@@ -53,14 +51,6 @@ struct DistOptions {
   /// Coordinator-tree fanout (0 = flat star; see coord::Tree). Interior
   /// device ranks relay control downward and merge acks/rollups upward.
   std::size_t fanout = 0;
-  /// Recovery protocol when a device process is reborn: Legacy resets and
-  /// replays every rank; Catchup replays only the reborn ranks from
-  /// survivor send logs and digest snapshots.
-  runtime::RecoveryMode recovery = runtime::RecoveryMode::Legacy;
-  /// Digest anchor period (DeviceProcess::Config::anchor_every): 1 = full
-  /// digest every collect (legacy bytes), 0 = pure deltas after the first
-  /// anchor, n > 1 = re-anchor every n-th round.
-  std::uint32_t anchor_every = 1;
   /// Run a collect round after every phase instead of only at the end —
   /// the scaling benches measure steady-state rollup bytes this way.
   bool collect_every_phase = false;
@@ -84,7 +74,7 @@ struct DistRunResult {
   /// byte-comparable against an in-process ShardedRuntime run.
   std::vector<std::string> rows;
   runtime::RuntimeMetrics metrics;
-  std::uint32_t resets = 0;  // epoch bumps survived (chaos runs)
+  std::uint32_t resets = 0;  // catch-ups (epoch bumps) survived (chaos runs)
   /// Per-rank contributions of the final collect round, sorted by rank
   /// (recovery tests read world_rebuilds / snapshot_rows_adopted here).
   std::vector<runtime::VerdictEntry> entries;
@@ -103,8 +93,7 @@ struct DistRunResult {
 [[nodiscard]] DistRunResult dist_run_coordinator(
     const DatasetSpec& spec, const HarnessOptions& opts,
     std::size_t n_updates, const std::vector<net::Endpoint>& endpoints,
-    std::size_t fanout = 0,
-    runtime::RecoveryMode recovery = runtime::RecoveryMode::Legacy);
+    std::size_t fanout = 0);
 
 /// Device role over explicit endpoints; returns when the coordinator
 /// finishes the run. When `chaos.enabled()`, the transport is wrapped in a
@@ -114,13 +103,10 @@ void dist_run_device(const DatasetSpec& spec, const HarnessOptions& opts,
                      std::size_t n_updates,
                      const std::vector<net::Endpoint>& endpoints,
                      net::PeerId rank, std::uint32_t incarnation,
-                     std::uint32_t kill_at_phase,
+                     const scenario::KillSpec* kill = nullptr,
                      const scenario::ChaosProfile& chaos = {},
                      const scenario::ChurnProfile* churn = nullptr,
-                     std::size_t fanout = 0,
-                     runtime::RecoveryMode recovery =
-                         runtime::RecoveryMode::Legacy,
-                     std::uint32_t anchor_every = 1);
+                     std::size_t fanout = 0);
 
 /// Child-process entry point. Every binary that calls dist_run() must
 /// invoke this first thing in main(); when argv carries the

@@ -138,7 +138,7 @@ class Harness {
   /// derived from this harness's dataset + options. Every process in a
   /// distributed run calls an identical builder and obtains an equivalent
   /// world (same plan order, same rule ids, same update steps), which is
-  /// what makes epoch-replay recovery sound. The builder outlives `this`
+  /// what lets a reborn process rebuild its devices for catch-up. The builder outlives `this`
   /// only if the Harness does; keep the Harness alive for the run.
   ///
   /// `churn` selects the scenario:: churn generator for the update stream

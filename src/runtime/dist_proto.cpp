@@ -11,7 +11,6 @@ constexpr std::uint8_t kHello = 1;
 constexpr std::uint8_t kBegin = 2;
 constexpr std::uint8_t kProbe = 3;
 constexpr std::uint8_t kProbeAck = 4;
-constexpr std::uint8_t kReset = 5;
 constexpr std::uint8_t kCollect = 6;
 constexpr std::uint8_t kRollup = 7;
 constexpr std::uint8_t kDone = 8;
@@ -195,17 +194,10 @@ std::vector<std::uint8_t> encode_dist(const DistMsg& msg) {
       w.u64(p.sent_to);
       w.u64(p.recv_from);
     }
-    w.u64(m->replay_sent);
-    w.u64(m->replay_received);
-    w.u8(m->replay_done ? 1 : 0);
-  } else if (const auto* m = std::get_if<DistReset>(&msg)) {
-    w.u8(kReset);
-    w.u32(m->epoch);
   } else if (const auto* m = std::get_if<DistCollect>(&msg)) {
     w.u8(kCollect);
     w.u32(m->epoch);
     w.u64(m->seq);
-    w.u8(m->want_full ? 1 : 0);
     w.u8(m->direct ? 1 : 0);
   } else if (const auto* m = std::get_if<DistRollup>(&msg)) {
     w.u8(kRollup);
@@ -234,7 +226,7 @@ std::vector<std::uint8_t> encode_dist(const DistMsg& msg) {
     w.bytes(m.frame);
     w.u64(m.trace_id);
     w.u64(m.parent_span);
-    w.u8(m.replay ? 1 : 0);
+    w.u32(m.phase);
   }
   return w.take();
 }
@@ -288,15 +280,6 @@ DistMsg decode_dist(std::span<const std::uint8_t> bytes) {
           p.recv_from = r.u64();
           m.pairs.push_back(p);
         }
-        m.replay_sent = r.u64();
-        m.replay_received = r.u64();
-        m.replay_done = r.u8() != 0;
-        out = m;
-        break;
-      }
-      case kReset: {
-        DistReset m;
-        m.epoch = r.u32();
         out = m;
         break;
       }
@@ -304,7 +287,6 @@ DistMsg decode_dist(std::span<const std::uint8_t> bytes) {
         DistCollect m;
         m.epoch = r.u32();
         m.seq = r.u64();
-        m.want_full = r.u8() != 0;
         m.direct = r.u8() != 0;
         out = m;
         break;
@@ -348,7 +330,7 @@ DistMsg decode_dist(std::span<const std::uint8_t> bytes) {
         m.frame = r.bytes();
         m.trace_id = r.u64();
         m.parent_span = r.u64();
-        m.replay = r.u8() != 0;
+        m.phase = r.u32();
         out = m;
         break;
       }
@@ -371,9 +353,6 @@ void merge_probe_ack(DistProbeAck& into, const DistProbeAck& child) {
   into.idle = into.idle && child.idle;
   into.phase = std::min(into.phase, child.phase);
   into.phase_started = into.phase_started && child.phase_started;
-  into.replay_sent += child.replay_sent;
-  into.replay_received += child.replay_received;
-  into.replay_done = into.replay_done && child.replay_done;
   into.pairs.insert(into.pairs.end(), child.pairs.begin(), child.pairs.end());
 }
 

@@ -11,11 +11,11 @@
 //
 // All Data traffic (and the coordinator's probe rounds) is tagged with an
 // epoch. When a device process is reborn the coordinator bumps the epoch
-// and recovers by either the legacy full reset (Reset + deterministic
-// world rebuild + phase replay on every rank) or the catch-up protocol
-// (Catchup + survivor send-log replay to the reborn ranks only); frames
-// from the previous life are recognized by their stale tag and dropped
-// instead of corrupting rebuilt state.
+// and recovers by catch-up (Catchup, then a re-run of every completed
+// phase in which only the reborn ranks redo their work and the survivors
+// replay their send logs to them); frames from the previous life are
+// recognized by their stale tag and dropped instead of corrupting rebuilt
+// state.
 #pragma once
 
 #include <cstdint>
@@ -47,8 +47,8 @@ struct DistHello {
 /// Coordinator -> tree: run phase `phase` (0 = FIB burst, k >= 1 = update
 /// step k-1 of the deterministic workload). Carries the coordinator's trace
 /// context so device-side spans link under the phase span (0 = no tracing).
-/// Re-broadcast of an already-applied phase is idempotent on survivors
-/// (catch-up re-Begins the interrupted phase after reborn ranks replay).
+/// Re-broadcast of an already-applied phase is idempotent on survivors:
+/// catch-up re-Begins every completed phase and then the interrupted one.
 struct DistBegin {
   std::uint32_t epoch = 0;
   std::uint32_t phase = 0;
@@ -92,27 +92,18 @@ struct DistProbeAck {
   std::uint32_t phase = 0;         // min completed phase over merged ranks
   bool phase_started = false;      // AND over merged ranks
   std::vector<DistPairCount> pairs;  // only on direct (drain) acks
-  std::uint64_t replay_sent = 0;      // catch-up replay frames
-  std::uint64_t replay_received = 0;
-  bool replay_done = true;  // AND: reborn ranks flip false until replayed
 };
 
-/// Coordinator -> tree: legacy recovery — discard all verification state,
-/// rebuild the world from the deterministic seed, and switch to `epoch`.
-/// The coordinator replays Begin 0..k afterwards.
-struct DistReset {
-  std::uint32_t epoch = 0;
-};
-
-/// Coordinator -> all ranks (direct): catch-up recovery. Ranks listed in
-/// `reborn` rebuild their own devices and locally replay phases
-/// 0..next_phase-1 with remote emissions suppressed toward survivors
-/// (which already processed them) and re-sent, replay-tagged, toward
-/// fellow reborn ranks; cascades of replayed inbound frames go to
-/// everyone, replay-tagged, since the dead rank may never have processed
-/// them. Survivors keep all verifier state, zero their Data counters for
-/// the new epoch, and re-send their per-destination send logs to the
-/// reborn ranks. Nobody rebuilds a world that is cached.
+/// Coordinator -> all ranks (direct): catch-up recovery into `epoch`. The
+/// coordinator then re-Begins phases 0..next_phase-1 (the replay) and
+/// next_phase itself. Ranks listed in `reborn` start from fresh verifiers
+/// and redo their own work of each replayed phase; their replay-phase
+/// emissions reach fellow reborn ranks only, because the survivors
+/// processed the originals before the crash. Survivors keep all verifier
+/// state, zero their Data counters for the new epoch, and on each Begin
+/// p <= next_phase re-send to the reborn ranks the phase-p frames their
+/// send logs hold for them — so a reborn rank sees the same inputs, phase
+/// by phase, as its previous life did. Nobody rebuilds a cached world.
 struct DistCatchup {
   std::uint32_t epoch = 0;
   std::uint32_t next_phase = 0;  // the phase the root will (re-)Begin
@@ -133,12 +124,9 @@ struct DistSnapshot {
 /// Coordinator -> tree: report verdicts and state digests. Rounds are
 /// sequenced: a timed-out round is re-asked with the same `seq` and every
 /// rank re-ships byte-identical cached entries, so appliers stay exact.
-/// `want_full` forces anchors (first round after a legacy reset, where
-/// every baseline died with the verifier state).
 struct DistCollect {
   std::uint32_t epoch = 0;
   std::uint64_t seq = 0;
-  bool want_full = false;
   /// Gray-aggregator fallback: the coordinator gave up on relayed rollups
   /// for this round (an interior rank is stalled-not-dead) and asks every
   /// rank to answer with a single-entry rollup sent straight to the root,
@@ -162,9 +150,10 @@ struct VerdictEntry {
   double lec_delta_seconds = 0.0;
   double recompute_seconds = 0.0;
   double emit_seconds = 0.0;
-  /// Verifier-state rebuilds beyond the process's first build. Legacy
-  /// recovery rebuilds every rank; catch-up must keep this at zero for
-  /// survivors (the differential tests assert exactly that).
+  /// Verifier-state rebuilds beyond the process's first build. Catch-up
+  /// keeps this at zero on every rank (the differential tests assert it);
+  /// only a rank reborn again by a recovery that restarted mid-replay
+  /// rebuilds.
   std::uint64_t world_rebuilds = 0;
   /// Digest rows adopted from a catch-up snapshot as the delta baseline.
   std::uint64_t snapshot_rows_adopted = 0;
@@ -191,22 +180,21 @@ struct DistDone {};
 /// Device process -> device process: a dvm::encode_frame byte string for
 /// `dst_device` (owned by the receiver), valid within `epoch`. The sender's
 /// trace context rides along so the receiver's handling span links causally
-/// back to the send site (0 = no tracing). `replay` marks catch-up
-/// retransmissions: they count on the replay counters, not the phase
-/// termination counters.
+/// back to the send site (0 = no tracing). `phase` is the phase whose work
+/// produced the frame (a cascade inherits the phase of the frame that
+/// triggered it); send logs are replayed phase by phase on it.
 struct DistData {
   std::uint32_t epoch = 0;
   std::uint32_t dst_device = 0;
   std::vector<std::uint8_t> frame;
   std::uint64_t trace_id = 0;
   std::uint64_t parent_span = 0;
-  bool replay = false;
+  std::uint32_t phase = 0;
 };
 
 using DistMsg =
-    std::variant<DistHello, DistBegin, DistProbe, DistProbeAck, DistReset,
-                 DistCollect, DistRollup, DistDone, DistData, DistCatchup,
-                 DistSnapshot>;
+    std::variant<DistHello, DistBegin, DistProbe, DistProbeAck, DistCollect,
+                 DistRollup, DistDone, DistData, DistCatchup, DistSnapshot>;
 
 [[nodiscard]] std::vector<std::uint8_t> encode_dist(const DistMsg& msg);
 /// Throws Error on malformed input.

@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <thread>
 
@@ -23,16 +22,6 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 }  // namespace
 
-const char* recovery_mode_name(RecoveryMode m) {
-  return m == RecoveryMode::Catchup ? "catchup" : "legacy";
-}
-
-RecoveryMode parse_recovery_mode(const std::string& s) {
-  if (s == "legacy") return RecoveryMode::Legacy;
-  if (s == "catchup") return RecoveryMode::Catchup;
-  throw Error("unknown recovery mode: " + s + " (want legacy|catchup)");
-}
-
 // ---------------------------------------------------------------------------
 // DeviceProcess
 // ---------------------------------------------------------------------------
@@ -45,7 +34,7 @@ DeviceProcess::DeviceProcess(net::Transport& transport,
       builder_(std::move(builder)),
       cfg_(cfg),
       tree_(cfg.n_device_procs, cfg.fanout) {
-  if (cfg_.recovery == RecoveryMode::Catchup && cfg_.incarnation > 0) {
+  if (cfg_.incarnation > 0) {
     // A reborn process adopts its epoch from the coordinator's Catchup;
     // until then every data frame parks (pre-death stragglers from the old
     // life would otherwise corrupt the fresh state).
@@ -70,9 +59,6 @@ DistProbeAck DeviceProcess::make_ack_locked(std::uint32_t wave,
   ack.phase_started = completed_phase_ >= 0;
   ack.phase =
       completed_phase_ >= 0 ? static_cast<std::uint32_t>(completed_phase_) : 0;
-  ack.replay_sent = replay_sent_;
-  ack.replay_received = replay_received_;
-  ack.replay_done = replay_done_;
   if (with_pairs) {
     std::map<std::uint32_t, DistPairCount> pairs;
     for (const auto& [peer, n] : sent_by_) pairs[peer].sent_to = n;
@@ -170,7 +156,6 @@ void DeviceProcess::on_frame(net::PeerId from,
   // direct collect already reached every rank from the root.
   const auto* col = std::get_if<DistCollect>(&msg);
   if (std::get_if<DistBegin>(&msg) != nullptr ||
-      std::get_if<DistReset>(&msg) != nullptr ||
       (col != nullptr && !col->direct)) {
     relay_to_children(frame);
   }
@@ -184,9 +169,8 @@ void DeviceProcess::on_frame(net::PeerId from,
 void DeviceProcess::build_world() {
   // The world (plans, initial tables, update steps) is a deterministic
   // function of the dataset and identical in every epoch; planning it is
-  // the expensive part of recovery. Build it once and let epoch resets
-  // rebuild only the per-device verifier state — recovery applies the
-  // cached plan payload instead of replanning the network.
+  // the expensive part of recovery. Build it once; a rank reborn again by
+  // a restarted catch-up rebuilds only its per-device verifier state.
   if (!world_built_) {
     world_ = builder_();
     world_built_ = true;
@@ -294,8 +278,6 @@ void DeviceProcess::process(net::PeerId from, DistMsg& msg) {
     run_phase(*begin);
   } else if (auto* data = std::get_if<DistData>(&msg)) {
     handle_data(from, *data);
-  } else if (const auto* reset = std::get_if<DistReset>(&msg)) {
-    handle_reset(*reset);
   } else if (const auto* cu = std::get_if<DistCatchup>(&msg)) {
     handle_catchup(*cu);
   } else if (const auto* snap = std::get_if<DistSnapshot>(&msg)) {
@@ -313,9 +295,17 @@ void DeviceProcess::process(net::PeerId from, DistMsg& msg) {
 void DeviceProcess::run_phase(const DistBegin& begin) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (begin.epoch != epoch_) return;  // stale Begin from before a recovery
+    if (begin.epoch != epoch_) {
+      // Ahead of our Catchup (relayed Begins can overtake the direct
+      // Catchup): hold it. Behind: stale Begin from before a recovery.
+      if (epoch_ == kEpochUnset || begin.epoch > epoch_) {
+        parked_.emplace_back(kCoordinatorRank, begin);
+      }
+      return;
+    }
   }
-  if (cfg_.kill_at_phase == begin.phase && cfg_.incarnation == 0) {
+  if (cfg_.kill_at_phase == begin.phase && cfg_.kill_after_frames == 0 &&
+      cfg_.incarnation == 0) {
     // Chaos hook: die exactly like a crashed switch process — no cleanup,
     // no goodbye. The supervisor re-forks us with incarnation 1.
     _exit(43);
@@ -324,20 +314,43 @@ void DeviceProcess::run_phase(const DistBegin& begin) {
   // route() stamps onto outgoing Data) link under its phase span.
   obs::ContextScope trace_ctx({begin.trace_id, begin.parent_span});
   TLK_SPAN_ARG("dist.device_phase", begin.phase);
-  apply_phase(begin.phase, /*replay=*/false);
+  // Before our own work, so a reborn rank gets this rank's frames in the
+  // order they were first sent.
+  resend_logged(begin.phase);
+  apply_phase(begin.phase);
   std::lock_guard<std::mutex> lock(mu_);
   completed_phase_ = begin.phase;
 }
 
-void DeviceProcess::apply_phase(std::uint32_t phase, bool replay) {
+void DeviceProcess::resend_logged(std::uint32_t phase) {
+  // The interrupted phase itself re-runs from scratch (roll_back dropped
+  // its logged frames), so only the phases before it are resent.
+  if (phase >= catchup_phase_) return;
+  for (const auto& [b, limit] : resend_limit_) {
+    const auto& log = send_log_[b];
+    for (std::size_t i = 0; i < limit; ++i) {
+      if (log[i].phase != phase) continue;
+      DistData d = log[i];
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        d.epoch = epoch_;
+        sent_ += 1;
+        sent_by_[b] += 1;
+      }
+      transport_->send(b, encode_dist(DistMsg(std::move(d))));
+    }
+  }
+}
+
+void DeviceProcess::apply_phase(std::uint32_t phase) {
   if (applied_phases_.contains(phase)) return;  // idempotent re-Begin
   applied_phases_.insert(phase);
-  const Routing mode = replay ? Routing::kReplayLocal : Routing::kNormal;
   if (phase == 0) {
     for (auto& od : devices_) {
+      save_undo(od, phase);
       auto outs = od.verifier->initialize(od.local_init);
       local_.jobs += 1;
-      route(std::move(outs), mode);
+      route(std::move(outs), phase);
     }
     return;
   }
@@ -346,6 +359,7 @@ void DeviceProcess::apply_phase(std::uint32_t phase, bool replay) {
   const auto& step = world_.steps[idx];
   if (owner_rank(step.update.device, cfg_.n_device_procs) != cfg_.rank) return;
   OwnedDevice* od = owned(step.update.device);
+  save_undo(*od, phase);
   fib::FibUpdate upd = step.update;
   if (upd.kind == fib::FibUpdate::Kind::Insert) {
     upd.rule = local_step_rules_[idx];
@@ -356,18 +370,46 @@ void DeviceProcess::apply_phase(std::uint32_t phase, bool replay) {
   auto outs = od->verifier->apply_rule_update(upd);
   step_rule_ids_[idx] = upd.rule_id;
   local_.jobs += 1;
-  route(std::move(outs), mode);
+  route(std::move(outs), phase);
+}
+
+void DeviceProcess::save_undo(OwnedDevice& od, std::uint32_t phase) {
+  // Phases run one at a time, globally: work of a newer phase means every
+  // older one terminated, so its undo points can go.
+  if (phase != undo_phase_) {
+    undo_devices_.clear();
+    undo_phase_ = phase;
+  }
+  if (undo_devices_.insert(od.dev).second) od.verifier->mark_undo_point();
+}
+
+void DeviceProcess::roll_back(std::uint32_t phase) {
+  if (undo_phase_ == phase) {
+    for (const DeviceId dev : undo_devices_) {
+      owned(dev)->verifier->restore_undo_point();
+    }
+  }
+  undo_devices_.clear();
+  undo_phase_.reset();
+  applied_phases_.erase(phase);
+  // Phases only grow along a log, so the interrupted phase is its tail.
+  for (auto& [peer, log] : send_log_) {
+    while (!log.empty() && log.back().phase >= phase) log.pop_back();
+  }
 }
 
 void DeviceProcess::revive_parked(std::uint32_t epoch) {
-  // Revive data frames that raced ahead of this recovery; drop older ones.
-  std::vector<std::pair<net::PeerId, DistData>> keep;
+  // Revive messages that raced ahead of this recovery; drop older ones.
+  std::vector<std::pair<net::PeerId, DistMsg>> keep;
   std::vector<std::pair<net::PeerId, DistMsg>> revive;
-  for (auto& [src, d] : parked_) {
-    if (d.epoch == epoch) {
-      revive.emplace_back(src, DistMsg(std::move(d)));
-    } else if (d.epoch > epoch && d.epoch != kEpochUnset) {
-      keep.emplace_back(src, std::move(d));
+  for (auto& [src, m] : parked_) {
+    const auto* data = std::get_if<DistData>(&m);
+    const std::uint32_t e =
+        data != nullptr ? data->epoch : std::get<DistBegin>(m).epoch;
+    if (e == epoch) {
+      revive.emplace_back(src, std::move(m));
+    } else if (e > epoch) {
+      keep.emplace_back(src, std::move(m));
     }
   }
   parked_ = std::move(keep);
@@ -383,31 +425,8 @@ void DeviceProcess::revive_parked(std::uint32_t epoch) {
   }
 }
 
-void DeviceProcess::handle_reset(const DistReset& reset) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    epoch_ = reset.epoch;
-    sent_ = 0;
-    received_ = 0;
-    sent_by_.clear();
-    recv_by_.clear();
-    replay_sent_ = 0;
-    replay_received_ = 0;
-    replay_done_ = true;
-    completed_phase_ = -1;
-  }
-  applied_phases_.clear();
-  send_log_.clear();
-  reborn_set_.clear();
-  build_world();
-  revive_parked(reset.epoch);
-}
-
 void DeviceProcess::handle_catchup(const DistCatchup& cu) {
   TLK_SPAN_ARG("dist.catchup", cu.next_phase);
-  const bool am_reborn =
-      std::find(cu.reborn.begin(), cu.reborn.end(), cfg_.rank) !=
-      cu.reborn.end();
   {
     std::lock_guard<std::mutex> lock(mu_);
     epoch_ = cu.epoch;
@@ -415,20 +434,21 @@ void DeviceProcess::handle_catchup(const DistCatchup& cu) {
     received_ = 0;
     sent_by_.clear();
     recv_by_.clear();
-    replay_sent_ = 0;
-    replay_received_ = 0;
-    if (am_reborn) replay_done_ = false;
   }
   reborn_set_ = cu.reborn;
-  if (am_reborn) {
+  catchup_phase_ = cu.next_phase;
+  resend_limit_.clear();
+  if (is_reborn_peer(cfg_.rank)) {
     if (!applied_phases_.empty()) {
       // A previous catch-up attempt already replayed into this process
-      // (another rank died mid-recovery); its state mixes replay traffic
-      // from the aborted round, so rebuild the verifiers — the world
-      // itself stays cached — and replay again from scratch.
+      // (another rank died mid-recovery); its state mixes traffic from the
+      // aborted round, so rebuild the verifiers — the world itself stays
+      // cached — and replay again from scratch.
       build_world();
       applied_phases_.clear();
     }
+    undo_devices_.clear();
+    undo_phase_.reset();
     send_log_.clear();
     baseline_.clear();
     mirror_.clear();
@@ -441,37 +461,19 @@ void DeviceProcess::handle_catchup(const DistCatchup& cu) {
       pending_snapshot_.reset();
       handle_snapshot(snap);
     }
-    // Replay our own history: apply phases 0..next_phase-1 locally.
-    // Emissions toward survivors are suppressed (they processed the
-    // originals before we died); emissions toward fellow reborn ranks are
-    // re-sent replay-tagged (their copies died with them); loopback runs
-    // replay-tagged through the normal queue. Inbound replay frames from
-    // survivors interleave freely — message processing is confluent.
-    for (std::uint32_t p = 0; p < cu.next_phase; ++p) {
-      apply_phase(p, /*replay=*/true);
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      replay_done_ = true;
-    }
   } else {
-    // Survivor: keep all verifier state, re-send our per-destination send
-    // log to each reborn rank (re-tagged to the new epoch), and serve a
-    // digest snapshot to any reborn rank whose nearest live ancestor we
-    // are.
+    // Survivor: keep the verifier state of every finished phase, but undo
+    // the interrupted one — the dead life may have processed part of it,
+    // and its frames this rank already took (or their cascades) would
+    // otherwise be applied twice once the reborn rank redoes them. The
+    // whole phase re-runs on every rank after the replay. Everything
+    // logged before it toward a reborn rank went to its dead life;
+    // resend_logged() replays it phase by phase as the coordinator
+    // re-Begins the phases. Also serve a digest snapshot to any reborn
+    // rank whose nearest live ancestor we are.
+    roll_back(cu.next_phase);
     for (const std::uint32_t b : cu.reborn) {
-      const auto it = send_log_.find(b);
-      if (it == send_log_.end() || it->second.empty()) continue;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        replay_sent_ += it->second.size();
-      }
-      for (const DistData& logged : it->second) {
-        DistData d = logged;
-        d.epoch = cu.epoch;
-        d.replay = true;
-        transport_->send(b, encode_dist(DistMsg(std::move(d))));
-      }
+      resend_limit_[b] = send_log_[b].size();
     }
     for (const std::uint32_t b : cu.reborn) {
       if (tree_.live_ancestor(b, cu.reborn) != cfg_.rank) continue;
@@ -533,18 +535,15 @@ void DeviceProcess::handle_data(net::PeerId from, DistData& data) {
       if (data.epoch > epoch_) parked_.emplace_back(from, std::move(data));
       return;
     }
-    if (data.replay) {
-      replay_received_ += 1;
-    } else {
-      received_ += 1;
-      recv_by_[from] += 1;
-    }
+    received_ += 1;
+    recv_by_[from] += 1;
   }
   // Adopt the sender's context so this span links back to the send site.
   obs::ContextScope trace_ctx({data.trace_id, data.parent_span});
   TLK_SPAN_ARG("dist.handle_data", data.frame.size());
   OwnedDevice* od = owned(data.dst_device);
   if (od == nullptr) return;  // misrouted frame; ignore
+  save_undo(*od, data.phase);
   std::vector<dvm::Envelope> outs;
   try {
     const auto envs = dvm::decode_frame(data.frame, *od->space);
@@ -558,17 +557,21 @@ void DeviceProcess::handle_data(net::PeerId from, DistData& data) {
     return;
   }
   local_.jobs += 1;
-  // Cascades of a replayed frame are delivered to everyone, replay-tagged
-  // (Routing::kReplayCascade): the dead rank may never have processed this
-  // frame (it died mid-phase-k), so its original cascades may not exist.
-  // Survivors reprocess idempotently — emission is change-driven, so an
-  // already-incorporated announcement cascades nothing further.
-  route(std::move(outs), data.replay ? Routing::kReplayCascade : Routing::kNormal);
+  route(std::move(outs), data.phase);
+  if (cfg_.kill_after_frames > 0 && data.phase == cfg_.kill_at_phase &&
+      cfg_.incarnation == 0 && ++kill_frames_seen_ == cfg_.kill_after_frames) {
+    // Chaos hook: crash mid-cascade. The transport writes from its own
+    // thread; give it a moment to put this frame's emissions on the wire
+    // so the survivors really take part of the dead life's phase.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    _exit(43);
+  }
 }
 
-void DeviceProcess::route(std::vector<dvm::Envelope> outs, Routing mode) {
+void DeviceProcess::route(std::vector<dvm::Envelope> outs,
+                          std::uint32_t phase) {
   if (outs.empty()) return;
-  const bool replay = mode != Routing::kNormal;
+  const bool replaying = is_reborn_peer(cfg_.rank) && phase < catchup_phase_;
   std::map<DeviceId, std::vector<dvm::Envelope>> by_dst;
   for (auto& env : outs) by_dst[env.dst].push_back(std::move(env));
   const obs::TraceContext ctx = obs::current_context();
@@ -577,6 +580,7 @@ void DeviceProcess::route(std::vector<dvm::Envelope> outs, Routing mode) {
     d.dst_device = dst;
     d.trace_id = ctx.trace_id;
     d.parent_span = ctx.span_id;
+    d.phase = phase;
     d.frame = dvm::encode_frame(envs, &transfer_cache_);
     local_.frames += 1;
     local_.envelopes += envs.size();
@@ -589,34 +593,25 @@ void DeviceProcess::route(std::vector<dvm::Envelope> outs, Routing mode) {
       {
         std::lock_guard<std::mutex> lock(mu_);
         d.epoch = epoch_;
-        d.replay = replay;
-        if (replay) {
-          replay_sent_ += 1;
-        } else {
-          sent_ += 1;
-          sent_by_[owner] += 1;
-        }
+        sent_ += 1;
+        sent_by_[owner] += 1;
         queue_.emplace_back(cfg_.rank, DistMsg(std::move(d)));
       }
       cv_.notify_one();
       continue;
     }
-    // Cross-rank: log first (epoch and replay flag are rewritten when a
-    // catch-up replays the log), then deliver — unless this is local phase
-    // replay toward a survivor: phases below next_phase terminated
-    // globally before the crash, so the survivor processed the originals.
+    // Cross-rank: log first (the epoch is rewritten when a catch-up
+    // replays the log), then deliver — unless this is a reborn rank
+    // replaying a phase below the catch-up's next phase toward a survivor:
+    // those phases terminated globally before the crash, so the survivor
+    // processed the originals.
     send_log_[owner].push_back(d);
-    if (mode == Routing::kReplayLocal && !is_reborn_peer(owner)) continue;
+    if (replaying && !is_reborn_peer(owner)) continue;
     {
       std::lock_guard<std::mutex> lock(mu_);
       d.epoch = epoch_;
-      d.replay = replay;
-      if (replay) {
-        replay_sent_ += 1;
-      } else {
-        sent_ += 1;
-        sent_by_[owner] += 1;
-      }
+      sent_ += 1;
+      sent_by_[owner] += 1;
     }
     transport_->send(owner, encode_dist(DistMsg(std::move(d))));
   }
@@ -638,7 +633,7 @@ void DeviceProcess::handle_collect(const DistCollect& collect) {
       rollup_entries_.clear();
       rollup_flushed_ = false;
     }
-    contribute_entry(collect.seq, collect.want_full);
+    contribute_entry(collect.seq);
     DistRollup r;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -657,31 +652,25 @@ void DeviceProcess::handle_collect(const DistCollect& collect) {
   // A re-asked round re-flushes (the previous rollup may have been lost);
   // cached entries keep the resend byte-identical.
   rollup_flushed_ = false;
-  contribute_entry(collect.seq, collect.want_full);
+  contribute_entry(collect.seq);
   maybe_flush_rollup();
 }
 
-void DeviceProcess::contribute_entry(std::uint64_t seq, bool want_full) {
+void DeviceProcess::contribute_entry(std::uint64_t seq) {
   if (own_seq_ == seq && own_entry_) {
     rollup_entries_[cfg_.rank] = *own_entry_;
     return;
   }
-  bool force_full = want_full;
-  if (cfg_.anchor_every == 1) {
-    force_full = true;
-  } else if (cfg_.anchor_every > 1) {
-    rounds_since_anchor_ += 1;
-    if (rounds_since_anchor_ >= cfg_.anchor_every) force_full = true;
-  }
-  if (force_full) rounds_since_anchor_ = 0;
   VerdictEntry e;
   e.rank = cfg_.rank;
   const std::vector<std::string> kEmpty;
   for (const auto& od : devices_) {
     auto rows = canonical_device_rows(*od.verifier);
     const auto* base = baseline_.rows_for(od.dev);
+    // Deltas against the rows last shipped; a device with an empty
+    // baseline (first round, or a reborn rank without a snapshot) anchors.
     auto delta = coord::diff_rows(static_cast<std::uint32_t>(od.dev),
-                                  base ? *base : kEmpty, rows, force_full);
+                                  base ? *base : kEmpty, rows);
     e.violations += od.verifier->violations().size();
     e.lec_delta_seconds += od.verifier->stats().lec_delta_seconds;
     const auto totals = od.verifier->engine_totals();
@@ -752,7 +741,8 @@ void DeviceProcess::handle_rollup(DistRollup& rollup) {
 DistCoordinator::DistCoordinator(net::Transport& transport, Config cfg)
     : transport_(&transport),
       cfg_(cfg),
-      tree_(cfg.n_device_procs, cfg.fanout) {}
+      tree_(cfg.n_device_procs, cfg.fanout),
+      probe_patience_s_(cfg.wait_step_s) {}
 
 void DistCoordinator::on_frame(net::PeerId from,
                                std::vector<std::uint8_t> frame) {
@@ -771,7 +761,7 @@ void DistCoordinator::on_frame(net::PeerId from,
       incarnations_[hello->rank] = hello->incarnation;
     }
     if (reborn && world_started_) {
-      reset_wanted_ = true;
+      rebirth_wanted_ = true;
       reborn_pending_.insert(hello->rank);
     }
   } else if (const auto* ack = std::get_if<DistProbeAck>(&msg)) {
@@ -823,9 +813,9 @@ void DistCoordinator::start() {
   world_started_ = true;
 }
 
-bool DistCoordinator::reset_pending() {
+bool DistCoordinator::rebirth_pending() {
   std::lock_guard<std::mutex> lock(mu_);
-  return reset_wanted_;
+  return rebirth_wanted_;
 }
 
 bool DistCoordinator::await_termination(std::uint32_t k) {
@@ -833,15 +823,14 @@ bool DistCoordinator::await_termination(std::uint32_t k) {
   std::uint64_t prev_recv = 0;
   bool have_prev = false;
   const auto probe_gap = std::chrono::duration<double>(cfg_.probe_interval_s);
-  double patience_s = cfg_.wait_step_s;
   const std::size_t n_ranks = cfg_.n_device_procs;
   while (true) {
-    const auto wait_step = std::chrono::duration<double>(patience_s);
+    const auto wait_step = std::chrono::duration<double>(probe_patience_s_);
     std::uint32_t epoch = 0;
     std::uint32_t wave = 0;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (reset_wanted_) return false;
+      if (rebirth_wanted_) return false;
       wave_ += 1;
       wave = wave_;
       epoch = epoch_;
@@ -863,8 +852,8 @@ bool DistCoordinator::await_termination(std::uint32_t k) {
         return n;
       };
       cv_.wait_for(lock, wait_step,
-                   [&] { return reset_wanted_ || covered() >= n_ranks; });
-      if (reset_wanted_) return false;
+                   [&] { return rebirth_wanted_ || covered() >= n_ranks; });
+      if (rebirth_wanted_) return false;
       complete = covered() >= n_ranks;
       if (complete) {
         bool all_settled = true;
@@ -891,60 +880,17 @@ bool DistCoordinator::await_termination(std::uint32_t k) {
     if (terminated) return true;
     // Missing acks (dead or slow peer): probe again with doubled patience —
     // a slow peer's acks always land once the window exceeds its round
-    // trip, and a rebirth Hello flips reset_wanted_ and aborts this wait.
+    // trip, and a rebirth Hello flips rebirth_wanted_ and aborts this wait.
     if (complete) {
-      patience_s = cfg_.wait_step_s;
       std::this_thread::sleep_for(probe_gap);
     } else {
-      patience_s = std::min(patience_s * 2.0, cfg_.wait_step_max_s);
+      grow_probe_patience();
     }
   }
 }
 
-void DistCoordinator::absorb_reset(std::uint32_t upto_phase,
-                                   PhaseOutcome& outcome) {
-  TLK_SPAN_ARG("dist.reset", upto_phase);
-  const auto reset_t0 = std::chrono::steady_clock::now();
-  bool again = true;
-  while (again) {
-    again = false;
-    std::uint32_t epoch = 0;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      reset_wanted_ = false;
-      reborn_pending_.clear();
-      epoch_ += 1;
-      epoch = epoch_;
-      wave_ = 0;
-      acks_.clear();
-    }
-    outcome.resets += 1;
-    TLK_EVENT_ARG("dist.epoch_bump", epoch);
-    broadcast(DistReset{epoch});
-    // Replay every phase completed before the crash; world construction is
-    // deterministic, so the replay reconverges to the identical state.
-    const obs::TraceContext ctx = obs::current_context();
-    for (std::uint32_t p = 0; p < upto_phase && !again; ++p) {
-      while (true) {
-        if (reset_pending()) {
-          again = true;
-          break;
-        }
-        broadcast(DistBegin{epoch, p, ctx.trace_id, ctx.span_id});
-        if (await_termination(p)) break;
-      }
-    }
-    if (!again && reset_pending()) again = true;
-  }
-  // Every rank's verifier state (and delta baseline) died with the reset;
-  // the next collect must re-anchor or the store drifts.
-  want_full_ = true;
-  // Recovery SLO instrumentation: how long the epoch bump + replay took,
-  // end to end, observable from a live metrics scrape mid-soak.
-  auto& reg = obs::Registry::instance();
-  reg.counter("dist_epoch_resets").add(1);
-  reg.counter("dist_recovery_us_max")
-      .max_of(static_cast<std::uint64_t>(seconds_since(reset_t0) * 1e6));
+void DistCoordinator::grow_probe_patience() {
+  probe_patience_s_ = std::min(probe_patience_s_ * 2.0, cfg_.wait_step_max_s);
 }
 
 void DistCoordinator::direct_wave(std::uint32_t epoch, double patience_s,
@@ -961,16 +907,70 @@ void DistCoordinator::direct_wave(std::uint32_t epoch, double patience_s,
   broadcast_direct(DistProbe{epoch, wave, /*direct=*/true});
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait_for(lock, std::chrono::duration<double>(patience_s),
-               [&] { return reset_wanted_ || acks_.size() >= expected; });
+               [&] { return rebirth_wanted_ || acks_.size() >= expected; });
   acks = acks_;
+}
+
+bool DistCoordinator::drain_survivors(
+    std::uint32_t epoch, const std::vector<std::uint32_t>& reborn) {
+  // Frames addressed to the corpses settle nowhere, so a scalar
+  // sent == recv can never balance; pairwise survivor<->survivor counters
+  // can. Two consecutive complete waves, idle, balanced and identical =
+  // drained. An incomplete wave (a slow survivor's ack missed the window)
+  // says nothing either way and keeps the previous complete one. Acks
+  // from freshly respawned processes carry the kEpochUnset sentinel and
+  // are filtered by the wave's epoch match.
+  const auto probe_gap = std::chrono::duration<double>(cfg_.probe_interval_s);
+  const std::size_t n_ranks = cfg_.n_device_procs;
+  const auto is_reborn = [&](std::uint32_t r) {
+    return std::find(reborn.begin(), reborn.end(), r) != reborn.end();
+  };
+  using PairTable = std::map<std::pair<std::uint32_t, std::uint32_t>,
+                             std::pair<std::uint64_t, std::uint64_t>>;
+  PairTable prev;
+  bool have_prev = false;
+  while (true) {
+    if (rebirth_pending()) return false;
+    std::map<net::PeerId, DistProbeAck> acks;
+    direct_wave(epoch, probe_patience_s_, n_ranks - reborn.size(), acks);
+    bool complete = true;
+    for (std::uint32_t r = 1; r <= n_ranks; ++r) {
+      if (!is_reborn(r) && acks.find(r) == acks.end()) complete = false;
+    }
+    if (!complete) {
+      grow_probe_patience();
+      continue;
+    }
+    PairTable table;  // (src, dst) -> (src sent to dst, dst took from src)
+    bool all_idle = true;
+    for (const auto& [r, ack] : acks) {
+      if (is_reborn(r)) continue;
+      all_idle = all_idle && ack.idle;
+      for (const auto& p : ack.pairs) {
+        if (is_reborn(p.peer) || p.peer > n_ranks) continue;
+        table[{r, p.peer}].first += p.sent_to;
+        table[{p.peer, r}].second += p.recv_from;
+      }
+    }
+    bool balanced = true;
+    for (const auto& [key, sr] : table) {
+      if (sr.first != sr.second) {
+        balanced = false;
+        break;
+      }
+    }
+    if (all_idle && balanced && have_prev && table == prev) return true;
+    have_prev = all_idle && balanced;
+    prev = std::move(table);
+    std::this_thread::sleep_for(probe_gap);
+  }
 }
 
 void DistCoordinator::absorb_catchup(std::uint32_t upto_phase,
                                      PhaseOutcome& outcome) {
   TLK_SPAN_ARG("dist.catchup", upto_phase);
   const auto t0 = std::chrono::steady_clock::now();
-  const auto probe_gap = std::chrono::duration<double>(cfg_.probe_interval_s);
-  const std::size_t n_ranks = cfg_.n_device_procs;
+  const obs::TraceContext ctx = obs::current_context();
   bool again = true;
   while (again) {
     again = false;
@@ -978,75 +978,22 @@ void DistCoordinator::absorb_catchup(std::uint32_t upto_phase,
     std::uint32_t old_epoch = 0;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      reset_wanted_ = false;
+      rebirth_wanted_ = false;
       // Sticky across retries: if yet another rank dies mid-recovery, the
       // restarted round recovers the union (the first rank's replay was
       // interrupted and must rerun).
       reborn.assign(reborn_pending_.begin(), reborn_pending_.end());
       old_epoch = epoch_;
     }
-    const auto is_reborn = [&](std::uint32_t r) {
-      return std::find(reborn.begin(), reborn.end(), r) != reborn.end();
-    };
-    const std::size_t survivors = n_ranks - reborn.size();
-
-    // Stage 1 — drain barrier at the OLD epoch, survivors only. Frames
-    // addressed to the corpses settle nowhere, so a scalar sent==recv can
-    // never balance; pairwise survivor<->survivor counters can. Two
-    // consecutive idle, balanced, identical waves = drained. Acks from
-    // freshly respawned processes carry the kEpochUnset sentinel and are
-    // filtered by the wave's epoch match.
-    double patience_s = cfg_.wait_step_s;
-    using PairTable = std::map<std::pair<std::uint32_t, std::uint32_t>,
-                               std::pair<std::uint64_t, std::uint64_t>>;
-    PairTable prev;
-    bool have_prev = false;
-    while (!again) {
-      if (reset_pending()) {
-        again = true;
-        break;
-      }
-      std::map<net::PeerId, DistProbeAck> acks;
-      direct_wave(old_epoch, patience_s, survivors, acks);
-      bool complete = true;
-      for (std::uint32_t r = 1; r <= n_ranks; ++r) {
-        if (!is_reborn(r) && acks.find(r) == acks.end()) complete = false;
-      }
-      if (!complete) {
-        patience_s = std::min(patience_s * 2.0, cfg_.wait_step_max_s);
-        have_prev = false;
-        continue;
-      }
-      PairTable table;  // (src, dst) -> (src sent to dst, dst took from src)
-      bool all_idle = true;
-      for (const auto& [r, ack] : acks) {
-        if (is_reborn(r)) continue;
-        all_idle = all_idle && ack.idle;
-        for (const auto& p : ack.pairs) {
-          if (is_reborn(p.peer) || p.peer > n_ranks) continue;
-          table[{r, p.peer}].first += p.sent_to;
-          table[{p.peer, r}].second += p.recv_from;
-        }
-      }
-      bool balanced = true;
-      for (const auto& [key, sr] : table) {
-        if (sr.first != sr.second) {
-          balanced = false;
-          break;
-        }
-      }
-      if (all_idle && balanced && have_prev && table == prev) break;
-      have_prev = all_idle && balanced;
-      prev = std::move(table);
-      patience_s = cfg_.wait_step_s;
-      std::this_thread::sleep_for(probe_gap);
+    if (!drain_survivors(old_epoch, reborn)) {
+      again = true;
+      continue;
     }
-    if (again) continue;
 
-    // Stage 2 — bump the epoch and hand everyone the recovery plan.
-    // Catchup goes direct (never relayed): the dead ranks may well be the
-    // interior of the tree. The root serves the digest snapshot itself for
-    // any reborn rank whose live ancestor search reaches rank 0.
+    // Bump the epoch and hand everyone the recovery plan. Catchup goes
+    // direct (never relayed): the dead ranks may well be the interior of
+    // the tree. The root serves the digest snapshot itself for any reborn
+    // rank whose live ancestor search reaches rank 0.
     std::uint32_t epoch = 0;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -1080,54 +1027,26 @@ void DistCoordinator::absorb_catchup(std::uint32_t upto_phase,
       transport_->send(b, encode_dist(DistMsg(std::move(snap))));
     }
 
-    // Stage 3 — replay drain at the NEW epoch, every rank: reborn ranks
-    // flip replay_done once their local replay finished, and the replay
-    // counters (survivor log resends + reborn replay emissions + cascade
-    // fallout) must balance and hold across two waves.
-    patience_s = cfg_.wait_step_s;
-    bool have_prev2 = false;
-    std::array<std::uint64_t, 4> prev2{};
-    while (!again) {
-      if (reset_pending()) {
+    // Replay every phase completed before the crash, each to global
+    // termination, so the reborn ranks see their inputs phase by phase.
+    for (std::uint32_t p = 0; p < upto_phase; ++p) {
+      broadcast(DistBegin{epoch, p, ctx.trace_id, ctx.span_id});
+      if (!await_termination(p)) {
         again = true;
         break;
       }
-      std::map<net::PeerId, DistProbeAck> acks;
-      direct_wave(epoch, patience_s, n_ranks, acks);
-      if (acks.size() < n_ranks) {
-        patience_s = std::min(patience_s * 2.0, cfg_.wait_step_max_s);
-        have_prev2 = false;
-        continue;
-      }
-      bool settled = true;
-      std::array<std::uint64_t, 4> sums{};
-      for (const auto& [r, ack] : acks) {
-        settled = settled && ack.idle && ack.replay_done;
-        sums[0] += ack.sent;
-        sums[1] += ack.received;
-        sums[2] += ack.replay_sent;
-        sums[3] += ack.replay_received;
-      }
-      settled = settled && sums[0] == sums[1] && sums[2] == sums[3];
-      if (settled && have_prev2 && sums == prev2) break;
-      have_prev2 = settled;
-      prev2 = sums;
-      patience_s = cfg_.wait_step_s;
-      std::this_thread::sleep_for(probe_gap);
     }
     if (again) continue;
     {
       std::lock_guard<std::mutex> lock(mu_);
       reborn_pending_.clear();
-      if (reset_wanted_) again = true;
+      if (rebirth_wanted_) again = true;
     }
   }
+  // Recovery SLO instrumentation: how long the drain + replay took, end
+  // to end, observable from a live metrics scrape mid-soak.
   const auto us = static_cast<std::uint64_t>(seconds_since(t0) * 1e6);
   auto& reg = obs::Registry::instance();
-  reg.counter("coord_catchup_total").add(1);
-  reg.counter("coord_catchup_us_max").max_of(us);
-  // The soak SLO machinery watches the generic recovery counters in both
-  // modes; catch-up feeds them too.
   reg.counter("dist_epoch_resets").add(1);
   reg.counter("dist_recovery_us_max").max_of(us);
 }
@@ -1143,13 +1062,7 @@ DistCoordinator::PhaseOutcome DistCoordinator::run_phase() {
   TLK_SPAN_ARG("dist.phase", k);
   const obs::TraceContext ctx = obs::current_context();
   while (true) {
-    if (reset_pending()) {
-      if (cfg_.recovery == RecoveryMode::Catchup) {
-        absorb_catchup(k, out);
-      } else {
-        absorb_reset(k, out);
-      }
-    }
+    if (rebirth_pending()) absorb_catchup(k, out);
     std::uint32_t epoch = 0;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -1197,8 +1110,6 @@ DistCoordinator::Collected DistCoordinator::collect() {
     seq = collect_seq_;
     collect_entries_.clear();
   }
-  const bool want_full = want_full_;
-  want_full_ = false;
   const std::size_t n_ranks = cfg_.n_device_procs;
   bool direct_round = false;
   std::uint32_t misses = 0;
@@ -1211,7 +1122,7 @@ DistCoordinator::Collected DistCoordinator::collect() {
     }
     // Re-broadcasts reuse the same seq: every rank re-ships its cached,
     // byte-identical entry, so applying the round exactly once stays easy.
-    const DistCollect ask{epoch, seq, want_full, direct_round};
+    const DistCollect ask{epoch, seq, direct_round};
     if (direct_round) {
       broadcast_direct(ask);
     } else {

@@ -9,15 +9,16 @@
 // messages, verdicts and control traffic ever crosses the wire.
 //
 // Coordination fabric. Control traffic rides a fanout-F coord::Tree over
-// the ranks: Begin/Reset/Collect and probe waves flow root -> children and
-// are relayed downward by interior device ranks, which also merge their
+// the ranks: Begin/Collect and probe waves flow root -> children and are
+// relayed downward by interior device ranks, which also merge their
 // subtree's probe acks and verdict rollups before forwarding one message
 // to their parent. Root fan-in is therefore O(F) per wave instead of O(P).
-// fanout 0 degenerates to the flat star (exact legacy behavior). Digests
-// ship as per-device deltas against the last collected round, with
-// configurable full anchors; interior ranks maintain a mirror of their
-// subtree's rows so they can serve snapshots during recovery. Data frames
-// stay direct rank-to-rank in every mode — the tree is coordination only.
+// fanout 0 (the default) degenerates to the flat star. Digests ship as
+// per-device deltas against the rows last shipped, with a full anchor
+// whenever the sender's baseline is empty; interior ranks maintain a
+// mirror of their subtree's rows so they can serve snapshots during
+// recovery. Data frames stay direct rank-to-rank in every mode — the tree
+// is coordination only.
 //
 // Execution is phased: phase 0 loads every initial FIB (the burst), phase
 // k >= 1 applies update step k-1 on its owning process. Between phases the
@@ -28,27 +29,36 @@
 // replaces the ShardedRuntime's shared-atomic quiescence count, which
 // cannot exist across address spaces.
 //
-// Fault recovery. When a device process dies, its supervisor re-forks it
-// with a higher incarnation number, and the new Hello makes the
-// coordinator bump the global epoch. Two recovery modes:
+// Fault recovery (catch-up). When a device process dies, its supervisor
+// re-forks it with a higher incarnation number, and the new Hello starts
+// a recovery at the coordinator:
 //
-//  - Legacy: broadcast Reset; every rank rebuilds verifier state from the
-//    deterministic seed and the coordinator replays all completed phases.
-//  - Catchup: drain in-flight traffic among survivors (direct probe waves
-//    with pairwise counters), then broadcast Catchup. Survivors keep all
-//    verifier state and re-send their per-destination send logs to the
-//    reborn ranks; reborn ranks rebuild only their own devices and replay
-//    their own phase steps locally (emissions toward survivors suppressed
-//    — those phases terminated globally, so the survivors processed the
-//    originals). Cascades of replayed *inbound* frames are instead
-//    delivered to everyone, replay-tagged: the dead rank may have died
-//    before processing them, so their fallout may exist nowhere, and
-//    reprocessing is idempotent on ranks that did see it. The reborn
-//    rank's nearest live tree ancestor ships it a digest snapshot to adopt
-//    as its delta baseline. No survivor rebuilds a world.
+//  1. Drain the survivors at the old epoch (direct probe waves with
+//     pairwise counters: frames addressed to the dead never settle).
+//  2. Bump the epoch and send every rank a Catchup naming the reborn
+//     ranks. The reborn rank's nearest live tree ancestor ships it a
+//     digest snapshot to adopt as its delta baseline.
+//  3. Survivors undo the interrupted phase k: every verifier phase k
+//     touched kept a copy of each part (FIB/LEC tables, one engine per
+//     invariant) before the phase first changed it; the survivors restore
+//     those copies and drop phase k from their send logs. The dead life may have
+//     crashed mid-cascade, after the survivors took part of its phase-k
+//     traffic; undoing the phase keeps that traffic from being applied
+//     twice once the reborn rank redoes it.
+//  4. Re-run phases 0..k-1, each to global termination, then phase k on
+//     every rank. In the replayed phases survivors do none of the work
+//     again; on Begin p they re-send the phase-p frames their send logs
+//     hold for the reborn ranks. Reborn ranks redo their own phase-p work
+//     and process those frames; their emissions of phases below k toward
+//     survivors are logged but not sent (the survivors processed the
+//     originals). Every Data frame carries the phase whose work produced
+//     it, so each reborn rank sees its previous life's inputs phase by
+//     phase and converges to the same state.
 //
-// Every data frame is epoch-tagged, so stragglers from the previous life
-// are dropped instead of corrupting rebuilt state.
+// No survivor rebuilds a world: the undo copies cover one phase, and
+// phases run one at a time. Every data frame is epoch-tagged, so
+// stragglers from the previous life are dropped instead of corrupting
+// rebuilt state.
 #pragma once
 
 #include <condition_variable>
@@ -71,16 +81,10 @@ namespace tulkun::runtime {
 
 inline constexpr net::PeerId kCoordinatorRank = 0;
 
-/// Sentinel a reborn catch-up process starts at: no epoch adopted yet.
-/// Every data frame parks until the coordinator's Catchup assigns the real
+/// Sentinel a reborn process starts at: no epoch adopted yet. Every data
+/// frame and Begin parks until the coordinator's Catchup assigns the real
 /// epoch, so pre-death stragglers can be told apart from replay traffic.
 inline constexpr std::uint32_t kEpochUnset = 0xffffffffu;
-
-enum class RecoveryMode : std::uint8_t { Legacy, Catchup };
-
-[[nodiscard]] const char* recovery_mode_name(RecoveryMode m);
-/// Parses "legacy" | "catchup"; throws Error on anything else.
-[[nodiscard]] RecoveryMode parse_recovery_mode(const std::string& s);
 
 /// The device process owning a device: ranks 1..n_device_procs, round-robin.
 [[nodiscard]] inline net::PeerId owner_rank(DeviceId dev,
@@ -129,14 +133,14 @@ class DeviceProcess {
     std::uint32_t incarnation = 0;
     /// Coordinator-tree fanout; 0 = flat star (see coord::Tree).
     std::size_t fanout = 0;
-    RecoveryMode recovery = RecoveryMode::Legacy;
-    /// Digest anchor period: 1 ships a full digest every collect round
-    /// (byte-for-byte the legacy wire behavior), 0 ships pure deltas after
-    /// the first anchor, n > 1 re-anchors every n-th round.
-    std::uint32_t anchor_every = 1;
-    /// Chaos hook: _exit the process upon receiving Begin for this phase
-    /// (first incarnation only), simulating a mid-run crash.
+    /// Chaos hook (first incarnation only): _exit the process when this
+    /// phase's Begin arrives — Data frames of the phase that overtook the
+    /// Begin may already have been processed — or, when
+    /// `kill_after_frames` is N > 0, right after processing the Nth Data
+    /// frame of the phase, in the middle of its cascade. A rank that sees
+    /// fewer frames of the phase does not die.
     std::uint32_t kill_at_phase = kNoKillPhase;
+    std::uint32_t kill_after_frames = 0;
   };
 
   DeviceProcess(net::Transport& transport, const topo::Topology& topo,
@@ -166,29 +170,31 @@ class DeviceProcess {
   void build_world();
   void process(net::PeerId from, DistMsg& msg);
   void run_phase(const DistBegin& begin);
-  /// Applies one phase's own work. `replay` routes emissions in catch-up
-  /// replay mode (suppressed toward survivors, replay-tagged otherwise).
-  void apply_phase(std::uint32_t phase, bool replay);
-  void handle_reset(const DistReset& reset);
+  /// Applies one phase's own work (idempotent per phase).
+  void apply_phase(std::uint32_t phase);
+  /// Marks `od`'s verifier's undo point the first time `phase` touches
+  /// it (what a catch-up interrupting the phase restores).
+  void save_undo(OwnedDevice& od, std::uint32_t phase);
+  /// Survivor side of a catch-up: returns every owned verifier to its
+  /// state before the interrupted `phase` and forgets the phase's own work
+  /// and logged frames, so the phase re-runs from its start.
+  void roll_back(std::uint32_t phase);
+  /// Survivor side of a catch-up: re-sends to the reborn ranks the frames
+  /// of `phase` that the send logs held for them when the Catchup came.
+  void resend_logged(std::uint32_t phase);
   void handle_catchup(const DistCatchup& cu);
   void handle_snapshot(const DistSnapshot& snap);
   void handle_collect(const DistCollect& collect);
   void handle_rollup(DistRollup& rollup);
   void handle_data(net::PeerId from, DistData& data);
-  /// How emissions leave this rank. kReplayLocal is the reborn rank's own
-  /// phase replay: those phases terminated globally before the crash, so
-  /// emissions toward survivors are suppressed (they processed the
-  /// originals) and only fellow reborn ranks get them, replay-tagged.
-  /// kReplayCascade is the fallout of processing a replayed inbound frame:
-  /// the dead rank may never have processed that frame, so its cascades
-  /// may not exist anywhere — deliver to everyone, replay-tagged
-  /// (reprocessing is idempotent and emission is change-driven, so
-  /// already-seen announcements die out immediately).
-  enum class Routing : std::uint8_t { kNormal, kReplayLocal, kReplayCascade };
-  void route(std::vector<dvm::Envelope> outs, Routing mode);
+  /// Sends `outs` (produced by the work of `phase`), logging every
+  /// cross-rank frame. On a reborn rank, frames of phases below the
+  /// catch-up's next phase are not sent to survivors: they processed the
+  /// originals before the crash.
+  void route(std::vector<dvm::Envelope> outs, std::uint32_t phase);
   /// Computes (or re-serves, for a re-asked round) this rank's
   /// VerdictEntry and feeds it into the rollup for `seq`.
-  void contribute_entry(std::uint64_t seq, bool want_full);
+  void contribute_entry(std::uint64_t seq);
   void maybe_flush_rollup();
   void revive_parked(std::uint32_t epoch);
   [[nodiscard]] OwnedDevice* owned(DeviceId dev);
@@ -203,7 +209,7 @@ class DeviceProcess {
 
   // Worker-owned state (no lock needed).
   DistWorld world_;
-  bool world_built_ = false;  // plans/tables cached across epoch resets
+  bool world_built_ = false;  // plans/tables, built once per process
   std::vector<OwnedDevice> devices_;
   bool devices_built_ = false;
   std::uint64_t world_rebuilds_ = 0;  // verifier rebuilds beyond the first
@@ -212,19 +218,26 @@ class DeviceProcess {
   bdd::SerializeCache transfer_cache_;
   RuntimeMetrics local_;
   std::set<std::uint32_t> applied_phases_;
+  // The phase in flight and the owned devices whose undo point it set.
+  std::optional<std::uint32_t> undo_phase_;
+  std::set<DeviceId> undo_devices_;
+  std::uint32_t kill_frames_seen_ = 0;  // Data frames of the kill phase
   // Per-destination log of every cross-rank Data frame sent this run;
   // replayed (re-tagged to the new epoch) toward reborn ranks during
-  // catch-up. Cleared by a legacy Reset, kept across catch-ups so later
-  // crashes can still be served.
+  // catch-up, and kept across catch-ups so later crashes can be served.
   std::map<net::PeerId, std::vector<DistData>> send_log_;
-  std::vector<std::uint32_t> reborn_set_;  // from the last Catchup
+  // The last Catchup: who is reborn, its next phase, and (survivor side)
+  // how much of each reborn rank's log was sent to the dead life — later
+  // entries reached the new one directly.
+  std::vector<std::uint32_t> reborn_set_;
+  std::uint32_t catchup_phase_ = 0;
+  std::map<net::PeerId, std::size_t> resend_limit_;
   // Delta-digest state: rows last shipped per owned device, the cached
   // entry for the current collect round (re-asks must be byte-identical),
   // and — on interior tree ranks — the subtree mirror.
   coord::DigestStore baseline_;
   std::uint64_t own_seq_ = kNoCollectSeq;
   std::optional<VerdictEntry> own_entry_;
-  std::uint32_t rounds_since_anchor_ = 0;
   coord::DigestStore mirror_;
   std::uint64_t mirror_applied_seq_ = kNoCollectSeq;
   std::uint64_t rollup_seq_ = kNoCollectSeq;
@@ -243,17 +256,14 @@ class DeviceProcess {
   std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::pair<net::PeerId, DistMsg>> queue_;
-  // Data frames from a future (or not-yet-adopted) epoch, with source rank.
-  std::vector<std::pair<net::PeerId, DistData>> parked_;
+  // Data frames and Begins from a future (or not-yet-adopted) epoch.
+  std::vector<std::pair<net::PeerId, DistMsg>> parked_;
   bool busy_ = false;
   std::uint32_t epoch_ = 0;
   std::uint64_t sent_ = 0;      // cross-process Data frames, current epoch
   std::uint64_t received_ = 0;  // counted when processed, not enqueued
   std::map<std::uint32_t, std::uint64_t> sent_by_;  // per-destination rank
   std::map<std::uint32_t, std::uint64_t> recv_by_;  // per-source rank
-  std::uint64_t replay_sent_ = 0;  // catch-up replay frames, both ways
-  std::uint64_t replay_received_ = 0;
-  bool replay_done_ = true;
   std::int64_t completed_phase_ = -1;
   // Interior-rank probe aggregation for the current (epoch, wave).
   std::uint32_t probe_epoch_ = 0;
@@ -270,16 +280,18 @@ class DistCoordinator {
   struct Config {
     std::size_t n_device_procs = 1;
     std::size_t fanout = 0;  // coordinator-tree fanout; 0 = star
-    RecoveryMode recovery = RecoveryMode::Legacy;
     double probe_interval_s = 0.002;
     /// Patience for hellos/acks/verdicts before re-broadcasting.
     double wait_step_s = 0.05;
     /// Ceiling for the adaptive patience. When a probe wave or collect
     /// round times out incomplete, the next round waits twice as long, up
-    /// to this cap; a complete round resets to `wait_step_s`. Without the
-    /// backoff a peer whose round-trip exceeds `wait_step_s` (e.g. a
-    /// gray-failed link adding 50 ms each way) can never land an ack
-    /// inside the window and the coordinator re-probes forever.
+    /// to this cap. Without the backoff a peer whose round-trip exceeds
+    /// `wait_step_s` (e.g. a gray-failed link adding 50 ms each way) can
+    /// never land an ack inside the window and the coordinator re-probes
+    /// forever. Probe waves keep the patience they learned for the rest
+    /// of the run (a wave ends as soon as its last ack lands, so a long
+    /// window costs nothing when peers answer), while a collect run starts
+    /// over from `wait_step_s`.
     double wait_step_max_s = 2.0;
     /// Gray-aggregator fallback (tree mode only). A stalled-not-dead
     /// interior rank blocks its whole subtree's rollups while every
@@ -296,7 +308,7 @@ class DistCoordinator {
 
   struct PhaseOutcome {
     double wall_seconds = 0.0;
-    std::uint32_t resets = 0;  // recoveries absorbed during this phase
+    std::uint32_t resets = 0;  // catch-ups (epoch bumps) during this phase
   };
 
   struct Collected {
@@ -319,8 +331,8 @@ class DistCoordinator {
   /// Starts the transport and blocks until every device process helloed.
   void start();
 
-  /// Runs the next phase to convergence (recovering first if a device
-  /// process was reborn).
+  /// Runs the next phase to convergence (catching reborn device processes
+  /// up first).
   PhaseOutcome run_phase();
 
   /// Collects verdicts, digests and metrics from every device process.
@@ -339,12 +351,16 @@ class DistCoordinator {
   void broadcast_direct(const DistMsg& msg);
   /// True when phase `k` terminated; false when interrupted by a rebirth.
   bool await_termination(std::uint32_t k);
-  [[nodiscard]] bool reset_pending();
-  void absorb_reset(std::uint32_t upto_phase, PhaseOutcome& outcome);
+  [[nodiscard]] bool rebirth_pending();
   /// Catch-up recovery: drain survivors at the old epoch, broadcast
-  /// Catchup + snapshots, then drain the replay at the new epoch. Restarts
+  /// Catchup + snapshots, then re-run phases 0..upto_phase-1. Restarts
   /// with the union of reborn ranks if another rank dies mid-recovery.
   void absorb_catchup(std::uint32_t upto_phase, PhaseOutcome& outcome);
+  /// Stage 1 of a catch-up: true once the survivors (every rank outside
+  /// `reborn`) are idle with balanced pairwise counters at `epoch` in two
+  /// consecutive complete waves; false when another rebirth interrupts.
+  bool drain_survivors(std::uint32_t epoch,
+                       const std::vector<std::uint32_t>& reborn);
   /// One direct probe wave; fills `acks` with the matching-epoch answers
   /// received within the adaptive patience window (`expected` of them
   /// short-circuits the wait).
@@ -357,6 +373,8 @@ class DistCoordinator {
   /// waits in a row (a chaos-gray peer keeps heartbeats — and therefore
   /// rx freshness — alive while its rollups stall).
   [[nodiscard]] bool gray_aggregator(std::uint32_t misses) const;
+  /// Doubles the probe-wave patience after an incomplete wave (capped).
+  void grow_probe_patience();
 
   net::Transport* transport_;
   Config cfg_;
@@ -365,13 +383,13 @@ class DistCoordinator {
   coord::DigestStore store_;  // authoritative accepted digest rows
   std::uint64_t store_applied_seq_ = kNoCollectSeq;
   std::uint64_t collect_seq_ = 0;  // last issued round
-  bool want_full_ = false;         // force anchors on the next collect
+  double probe_patience_s_;        // learned probe-wave window
 
   std::mutex mu_;
   std::condition_variable cv_;
   std::map<net::PeerId, std::uint32_t> incarnations_;
   bool world_started_ = false;
-  bool reset_wanted_ = false;
+  bool rebirth_wanted_ = false;
   std::set<std::uint32_t> reborn_pending_;  // sticky across catch-up retries
   std::uint32_t epoch_ = 0;
   std::uint32_t wave_ = 0;

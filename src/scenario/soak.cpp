@@ -145,8 +145,6 @@ SoakReport run_soak(const SoakOptions& o) {
   d.chaos = o.scenario.chaos;
   d.churn = churn;
   d.fanout = o.tree_fanout;
-  d.recovery = o.recovery;
-  d.anchor_every = o.anchor_every;
   if (o.pace) {
     d.hooks.phase_at_s.reserve(n_updates);
     for (const auto& s : plan.steps) d.hooks.phase_at_s.push_back(s.at_s);
@@ -156,7 +154,7 @@ SoakReport run_soak(const SoakOptions& o) {
     std::lock_guard<std::mutex> lock(live.mu);
     if (phase > 0) live.phase_s.add(p.wall_seconds);  // 0 = burst
     if (p.resets > live.resets_seen) {
-      // A phase that absorbed epoch resets: its wall time bounds the
+      // A phase that absorbed a catch-up: its wall time bounds the
       // recovery (replay included), our epoch-recovery SLO input.
       live.max_recovery_s = std::max(live.max_recovery_s, p.wall_seconds);
       live.resets_seen = p.resets;

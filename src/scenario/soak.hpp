@@ -75,11 +75,6 @@ struct SoakOptions {
   /// Coordinator-tree fanout (0 = flat star): interior device ranks relay
   /// control and merge rollups, so kills may hit aggregators too.
   std::size_t tree_fanout = 0;
-  /// Recovery protocol for reborn ranks (Catchup = snapshot + send-log
-  /// replay; survivors keep their worlds).
-  runtime::RecoveryMode recovery = runtime::RecoveryMode::Legacy;
-  /// Digest anchor period for delta rollups (1 = full every round).
-  std::uint32_t anchor_every = 1;
 };
 
 struct SoakReport {
@@ -93,7 +88,7 @@ struct SoakReport {
   double wall_s = 0.0;
   double p50_phase_s = 0.0;
   double p99_phase_s = 0.0;
-  /// Wall time of the slowest phase that absorbed a reset (0 = no kill
+  /// Wall time of the slowest phase that absorbed a catch-up (0 = no kill
   /// recovered): the epoch-recovery SLO input.
   double max_recovery_s = 0.0;
   /// Every sample from the end-of-run metrics scrape (empty when no

@@ -147,7 +147,7 @@ bool apply_pair(ScenarioSpec& spec, const std::string& key,
   } else if (key.rfind("kill.", 0) == 0) {
     KillSpec k;
     k.rank = static_cast<net::PeerId>(parse_u64(key, key.substr(5)));
-    k.phase = static_cast<std::uint32_t>(parse_u64(key, value));
+    parse_kill_when(value, k);
     spec.kills.push_back(k);
   } else {
     return false;
@@ -182,11 +182,23 @@ std::string format_scenario(const ScenarioSpec& spec) {
   churn_pairs(spec.churn, "\n", out);
   chaos_pairs(spec.chaos, "\n", out);
   for (const auto& k : spec.kills) {
-    append(out, "\n", "kill." + std::to_string(k.rank),
-           std::to_string(k.phase));
+    std::string when = std::to_string(k.phase);
+    if (k.after_frames > 0) when += "+" + std::to_string(k.after_frames);
+    append(out, "\n", "kill." + std::to_string(k.rank), when);
   }
   out += '\n';
   return out;
+}
+
+void parse_kill_when(const std::string& text, KillSpec& k) {
+  const std::size_t plus = text.find('+');
+  k.phase = static_cast<std::uint32_t>(
+      parse_u64("kill phase", text.substr(0, plus)));
+  k.after_frames =
+      plus == std::string::npos
+          ? 0
+          : static_cast<std::uint32_t>(
+                parse_u64("kill frames", text.substr(plus + 1)));
 }
 
 ScenarioSpec parse_scenario(const std::string& text) {

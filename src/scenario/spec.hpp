@@ -23,13 +23,19 @@
 
 namespace tulkun::scenario {
 
-/// Kill `rank` when it receives Begin for `phase` (first incarnation
-/// only; the supervisor re-forks it and the run reconverges through the
-/// epoch-reset protocol). Requires process isolation (uds|tcp).
+/// Kill `rank` when it receives Begin for `phase` or, when `after_frames`
+/// is N > 0, right after it processes the Nth Data frame of `phase` (a
+/// crash mid-cascade). First incarnation only; the supervisor re-forks it
+/// and the run reconverges through catch-up recovery. Requires process
+/// isolation (uds|tcp). Text form: `PHASE` or `PHASE+N`.
 struct KillSpec {
   net::PeerId rank = 1;
   std::uint32_t phase = 1;
+  std::uint32_t after_frames = 0;
 };
+
+/// Parses the text form above into `k.phase`/`k.after_frames`.
+void parse_kill_when(const std::string& text, KillSpec& k);
 
 struct ScenarioSpec {
   ChurnProfile churn;

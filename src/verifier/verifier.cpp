@@ -54,7 +54,58 @@ OnDeviceVerifier::multipath_view(InvariantId session) const {
   return std::nullopt;
 }
 
+void OnDeviceVerifier::mark_undo_point() {
+  undo_.emplace();
+  undo_->stats = stats_;
+}
+
+void OnDeviceVerifier::restore_undo_point() {
+  if (!undo_) return;
+  if (undo_->tables) {
+    auto& t = *undo_->tables;
+    fib_ = std::move(t.fib);
+    builder_ = std::move(t.builder);
+    lec_ = std::move(t.lec);
+    initialized_ = t.initialized;
+    flooding_ = std::move(t.flooding);
+  }
+  for (auto& [i, engine] : undo_->engines) {
+    installed_[i].engine = std::move(engine);
+  }
+  for (auto& [i, engine] : undo_->multipath) {
+    multipath_[i].engine = std::move(engine);
+  }
+  stats_ = undo_->stats;
+  undo_.reset();
+}
+
+void OnDeviceVerifier::save_tables() {
+  if (!undo_ || undo_->tables) return;
+  undo_->tables =
+      UndoPoint::Tables{fib_, builder_, lec_, initialized_, flooding_};
+}
+
+void OnDeviceVerifier::save_engine(std::size_t i) {
+  if (!undo_ || undo_->engines.contains(i)) return;
+  undo_->engines.emplace(
+      i, std::make_unique<dvm::DeviceEngine>(*installed_[i].engine));
+}
+
+void OnDeviceVerifier::save_multipath(std::size_t i) {
+  if (!undo_ || undo_->multipath.contains(i)) return;
+  undo_->multipath.emplace(
+      i, std::make_unique<dvm::PathSetEngine>(*multipath_[i].engine));
+}
+
+void OnDeviceVerifier::save_all_engines() {
+  if (!undo_) return;
+  for (std::size_t i = 0; i < installed_.size(); ++i) save_engine(i);
+  for (std::size_t i = 0; i < multipath_.size(); ++i) save_multipath(i);
+}
+
 std::vector<dvm::Envelope> OnDeviceVerifier::initialize(fib::FibTable fib) {
+  save_tables();
+  save_all_engines();
   fib_ = std::move(fib);
   lec_ = builder_.build(fib_);
   ++stats_.lec_builds;
@@ -95,6 +146,7 @@ std::vector<dvm::Envelope> OnDeviceVerifier::apply_rule_update(
           ? update.rule.match(*space_)
           : fib_.rule(update.rule_id).match(*space_);
 
+  save_tables();
   const auto before =
       builder_.effective_in_region(fib_, region_prefix, region);
   if (update.kind == fib::FibUpdate::Kind::Insert) {
@@ -114,6 +166,7 @@ std::vector<dvm::Envelope> OnDeviceVerifier::apply_rule_update(
   lec_ = builder_.apply_patch(lec_, region, after);
   ++stats_.lec_patches;
   note_lec_delta();
+  save_all_engines();
   for (auto& inst : installed_) {
     auto msgs = inst.engine->on_lec_deltas(deltas, lec_);
     out.insert(out.end(), std::make_move_iterator(msgs.begin()),
@@ -134,27 +187,35 @@ std::vector<dvm::Envelope> OnDeviceVerifier::on_message(
   std::vector<dvm::Envelope> out;
 
   if (const auto* u = std::get_if<dvm::UpdateMessage>(&env.msg)) {
-    for (auto& inst : installed_) {
+    for (std::size_t i = 0; i < installed_.size(); ++i) {
+      auto& inst = installed_[i];
       if (inst.id != u->invariant) continue;
+      save_engine(i);
       auto msgs = inst.engine->on_update(*u);
       out.insert(out.end(), std::make_move_iterator(msgs.begin()),
                  std::make_move_iterator(msgs.end()));
     }
   } else if (const auto* s = std::get_if<dvm::SubscribeMessage>(&env.msg)) {
-    for (auto& inst : installed_) {
+    for (std::size_t i = 0; i < installed_.size(); ++i) {
+      auto& inst = installed_[i];
       if (inst.id != s->invariant) continue;
+      save_engine(i);
       auto msgs = inst.engine->on_subscribe(*s);
       out.insert(out.end(), std::make_move_iterator(msgs.begin()),
                  std::make_move_iterator(msgs.end()));
     }
   } else if (const auto* p = std::get_if<dvm::PathSetUpdate>(&env.msg)) {
-    for (auto& inst : multipath_) {
+    for (std::size_t i = 0; i < multipath_.size(); ++i) {
+      auto& inst = multipath_[i];
       if (inst.id != p->session) continue;
+      save_multipath(i);
       auto msgs = inst.engine->on_pathset(*p);
       out.insert(out.end(), std::make_move_iterator(msgs.begin()),
                  std::make_move_iterator(msgs.end()));
     }
   } else if (const auto* l = std::get_if<dvm::LinkStateMessage>(&env.msg)) {
+    save_tables();
+    save_all_engines();
     bool changed = false;
     auto refloods = flooding_.on_message(env.src, *l, changed);
     out.insert(out.end(), std::make_move_iterator(refloods.begin()),
@@ -166,6 +227,8 @@ std::vector<dvm::Envelope> OnDeviceVerifier::on_message(
 
 std::vector<dvm::Envelope> OnDeviceVerifier::on_local_link_event(LinkId link,
                                                                  bool up) {
+  save_tables();
+  save_all_engines();
   auto out = flooding_.local_event(link, up);
   resync_scenes(out);
   return out;

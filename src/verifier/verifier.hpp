@@ -5,7 +5,9 @@
 // the envelopes it returns.
 #pragma once
 
+#include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "dvm/engine.hpp"
@@ -63,6 +65,17 @@ class OnDeviceVerifier {
   /// A locally detected link event on an adjacent link.
   std::vector<dvm::Envelope> on_local_link_event(LinkId link, bool up);
 
+  /// Sets an undo point (after every install): from here on, the first
+  /// call that changes a part of the verifier — the FIB/LEC tables, one
+  /// engine — keeps a copy of that part as it was at the mark.
+  /// restore_undo_point() puts the copies back, returning the verifier to
+  /// its state at the mark; a new mark drops the previous one. Until the
+  /// first mark nothing is copied. runtime::DeviceProcess marks each
+  /// device when a phase first touches it, so a crash elsewhere can undo
+  /// the interrupted phase.
+  void mark_undo_point();
+  void restore_undo_point();
+
   /// Violations across all installed invariants.
   [[nodiscard]] std::vector<dvm::Violation> violations() const;
 
@@ -98,6 +111,12 @@ class OnDeviceVerifier {
   /// agent's failed-link set.
   void resync_scenes(std::vector<dvm::Envelope>& out);
 
+  /// Undo-point copies, each taken before the part's first change.
+  void save_tables();
+  void save_engine(std::size_t i);
+  void save_multipath(std::size_t i);
+  void save_all_engines();
+
   struct Installed {
     InvariantId id = 0;
     std::shared_ptr<const dpvnet::DpvNet> dag;
@@ -126,6 +145,22 @@ class OnDeviceVerifier {
   std::vector<Installed> installed_;
   std::vector<InstalledMultiPath> multipath_;
   VerifierStats stats_;
+
+  struct UndoPoint {
+    struct Tables {
+      fib::FibTable fib;
+      fib::LecBuilder builder;
+      fib::LecTable lec;
+      bool initialized = false;
+      FloodingAgent flooding;
+    };
+    std::optional<Tables> tables;
+    VerifierStats stats;
+    // Keyed by index into installed_ / multipath_.
+    std::map<std::size_t, std::unique_ptr<dvm::DeviceEngine>> engines;
+    std::map<std::size_t, std::unique_ptr<dvm::PathSetEngine>> multipath;
+  };
+  std::optional<UndoPoint> undo_;
 };
 
 }  // namespace tulkun::verifier

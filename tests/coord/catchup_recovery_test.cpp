@@ -1,10 +1,10 @@
-// Snapshot catch-up recovery differential: a forked UDS run with a
-// 3-level tree (P=6, fanout=2) kills both an aggregator (rank 1) and a
-// leaf (rank 5) mid-run under light transport chaos. In Catchup mode the
-// reborn ranks must rejoin from an ancestor's digest snapshot plus the
-// survivors' send-log replay — survivors never rebuild their worlds — and
-// the converged digest must stay byte-identical to the in-process
-// ShardedRuntime replay and to Legacy whole-run recovery.
+// Catch-up recovery differentials. Forked UDS runs kill device ranks
+// mid-run, on a phase's Begin or in the middle of its cascade; the reborn
+// ranks rejoin from an ancestor's digest snapshot plus the survivors' send
+// logs, replayed phase by phase, while the survivors undo only the
+// interrupted phase — they never rebuild their worlds — and the converged
+// digest must stay byte-identical to the in-process ShardedRuntime replay
+// of the same world.
 //
 // This binary forks/execs itself as the device processes, so it carries a
 // custom main() that routes the --tulkun-device-proc re-exec before gtest.
@@ -21,18 +21,24 @@ HarnessOptions small_opts() {
   return opts;
 }
 
-DistOptions tree_kill_run(std::size_t updates) {
+DistOptions tree_kill_run(std::size_t procs, std::size_t fanout,
+                          std::size_t updates,
+                          std::vector<scenario::KillSpec> kills) {
   DistOptions dist;
   dist.kind = net::TransportKind::Unix;
-  dist.device_procs = 6;
+  dist.device_procs = procs;
   dist.n_updates = updates;
-  dist.fanout = 2;
-  // Collect after every phase so the aggregator mirrors and the root store
-  // hold snapshot rows by the time the kills land.
-  dist.collect_every_phase = true;
-  dist.kills.push_back({1, 2});  // aggregator, Begin(phase 2)
-  dist.kills.push_back({5, 3});  // leaf, Begin(phase 3)
+  dist.fanout = fanout;
+  dist.kills = std::move(kills);
   return dist;
+}
+
+/// Every rank kept (survivors) or built once (reborn ranks) its verifiers.
+void expect_no_rebuilds(const DistRunResult& res, std::size_t procs) {
+  ASSERT_EQ(res.entries.size(), procs);
+  for (const auto& e : res.entries) {
+    EXPECT_EQ(e.world_rebuilds, 0u) << "rank " << e.rank;
+  }
 }
 
 TEST(CatchupRecoveryTest, AggregatorAndLeafKillsConvergeFromSnapshots) {
@@ -41,9 +47,12 @@ TEST(CatchupRecoveryTest, AggregatorAndLeafKillsConvergeFromSnapshots) {
   constexpr std::size_t kUpdates = 5;
   const auto base = testutil::sharded_baseline(spec, opts, kUpdates);
 
-  auto dist = tree_kill_run(kUpdates);
-  dist.recovery = runtime::RecoveryMode::Catchup;
-  dist.anchor_every = 0;  // deltas between anchors; snapshots still full
+  // A 3-level tree (P=6, fanout=2): kill an aggregator (rank 1, phase 2)
+  // and a leaf (rank 5, phase 3) under light transport chaos.
+  auto dist = tree_kill_run(6, 2, kUpdates, {{1, 2}, {5, 3}});
+  // Collect after every phase so the aggregator mirrors and the root store
+  // hold snapshot rows by the time the kills land.
+  dist.collect_every_phase = true;
   dist.chaos.loss = 0.02;
   dist.chaos.dup = 0.02;
   const auto res = dist_run(spec, opts, dist);
@@ -51,12 +60,8 @@ TEST(CatchupRecoveryTest, AggregatorAndLeafKillsConvergeFromSnapshots) {
   EXPECT_GE(res.resets, 1u);
   EXPECT_EQ(res.violations, base.violations);
   EXPECT_EQ(res.rows, base.rows);
-
-  ASSERT_EQ(res.entries.size(), 6u);
+  expect_no_rebuilds(res, 6);
   for (const auto& e : res.entries) {
-    // Catch-up never rebuilds anybody's world: survivors keep theirs and a
-    // reborn process's initial build doesn't count as a rebuild.
-    EXPECT_EQ(e.world_rebuilds, 0u) << "rank " << e.rank;
     if (e.rank == 1 || e.rank == 5) {
       EXPECT_GT(e.snapshot_rows_adopted, 0u) << "rank " << e.rank;
     } else {
@@ -65,29 +70,77 @@ TEST(CatchupRecoveryTest, AggregatorAndLeafKillsConvergeFromSnapshots) {
   }
 }
 
-TEST(CatchupRecoveryTest, LegacyAndCatchupAgreeByteForByte) {
+/// A run whose reborn rank is sensitive to replay order: 3 UDS processes
+/// on a star, 10 churn events (seed 42), rank 1 killed when phase 3's
+/// Begin arrives. Replaying the reborn rank's own phases before any of the
+/// survivors' frames fragments one LocCIB row of a reborn device
+/// differently from the oracle's; only a phase-by-phase replay matches.
+struct StarChurnKill {
+  HarnessOptions opts;
+  scenario::ChurnProfile churn;
+  DistOptions dist;
+
+  StarChurnKill() {
+    opts.seed = 42;
+    opts.max_destinations = 4;
+    churn.seed = 42;
+    churn.events = 10;
+    dist = tree_kill_run(3, 0, churn.events, {{1, 3}});
+    dist.churn = churn;
+  }
+};
+
+TEST(CatchupRecoveryTest, StarChurnKillMatchesShardedRuntime) {
   const auto& spec = dataset("INet2");
-  const auto opts = small_opts();
-  constexpr std::size_t kUpdates = 5;
+  const StarChurnKill run;
+  const auto base =
+      testutil::sharded_baseline(spec, run.opts, run.churn.events, &run.churn);
 
-  auto legacy = tree_kill_run(kUpdates);
-  legacy.recovery = runtime::RecoveryMode::Legacy;
-  const auto legacy_res = dist_run(spec, opts, legacy);
+  const auto res = dist_run(spec, run.opts, run.dist);
 
-  auto catchup = tree_kill_run(kUpdates);
-  catchup.recovery = runtime::RecoveryMode::Catchup;
-  const auto catchup_res = dist_run(spec, opts, catchup);
+  EXPECT_GE(res.resets, 1u);
+  EXPECT_EQ(res.violations, base.violations);
+  EXPECT_EQ(res.rows, base.rows);
+  expect_no_rebuilds(res, 3);
+}
 
-  EXPECT_GE(legacy_res.resets, 1u);
-  EXPECT_GE(catchup_res.resets, 1u);
-  EXPECT_EQ(catchup_res.rows, legacy_res.rows);
-  EXPECT_EQ(catchup_res.violations, legacy_res.violations);
+TEST(CatchupRecoveryTest, MidCascadeKillsMatchShardedRuntime) {
+  const auto& spec = dataset("INet2");
+  StarChurnKill run;
+  // Both ranks die in the middle of a phase, after their emissions for the
+  // frames they took reached the survivors: rank 1 after its 4th frame of
+  // the burst, rank 2 after its first frame of update phase 2. The
+  // survivors undo the interrupted phase and every rank re-runs it.
+  run.dist.kills = {{1, 0, 4}, {2, 2, 1}};
+  const auto base =
+      testutil::sharded_baseline(spec, run.opts, run.churn.events, &run.churn);
 
-  // Legacy replays everyone: the killed ranks' survivors rebuilt at least
-  // once, which is exactly the cost catch-up exists to avoid.
-  std::uint64_t legacy_rebuilds = 0;
-  for (const auto& e : legacy_res.entries) legacy_rebuilds += e.world_rebuilds;
-  EXPECT_GT(legacy_rebuilds, 0u);
+  const auto res = dist_run(spec, run.opts, run.dist);
+
+  EXPECT_GE(res.resets, 2u);
+  EXPECT_EQ(res.violations, base.violations);
+  EXPECT_EQ(res.rows, base.rows);
+  expect_no_rebuilds(res, 3);
+}
+
+TEST(CatchupRecoveryTest, GraySurvivorDoesNotStallCatchup) {
+  const auto& spec = dataset("INet2");
+  StarChurnKill run;
+  // Survivor rank 2 answers every probe ~100 ms late, so some drain waves
+  // miss its ack; an incomplete wave must not discard the last complete
+  // one, or the drain never ends.
+  run.dist.chaos.seed = 43;
+  run.dist.chaos.gray_rank = 2;
+  run.dist.chaos.gray_delay_s = 0.05;
+  const auto base =
+      testutil::sharded_baseline(spec, run.opts, run.churn.events, &run.churn);
+
+  const auto res = dist_run(spec, run.opts, run.dist);
+
+  EXPECT_GE(res.resets, 1u);
+  EXPECT_EQ(res.violations, base.violations);
+  EXPECT_EQ(res.rows, base.rows);
+  expect_no_rebuilds(res, 3);
 }
 
 }  // namespace

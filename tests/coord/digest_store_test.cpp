@@ -13,7 +13,7 @@ using Rows = std::vector<std::string>;
 TEST(DigestStoreTest, DiffThenApplyRoundTrips) {
   const Rows baseline = {"a", "b", "b", "d"};
   const Rows now = {"a", "b", "c", "c", "e"};
-  const auto d = diff_rows(7, baseline, now, /*force_full=*/false);
+  const auto d = diff_rows(7, baseline, now);
   EXPECT_FALSE(d.full);
   EXPECT_EQ(d.removed, (Rows{"b", "d"}));
   EXPECT_EQ(d.added, (Rows{"c", "c", "e"}));
@@ -26,17 +26,21 @@ TEST(DigestStoreTest, DiffThenApplyRoundTrips) {
 }
 
 TEST(DigestStoreTest, EmptyBaselineForcesFullAnchor) {
-  const auto d = diff_rows(3, {}, {"x", "y"}, /*force_full=*/false);
+  const auto d = diff_rows(3, {}, {"x", "y"});
   EXPECT_TRUE(d.full);
   EXPECT_EQ(d.added, (Rows{"x", "y"}));
   EXPECT_TRUE(d.removed.empty());
 }
 
 TEST(DigestStoreTest, ForcedAnchorReplacesWholeDevice) {
+  // A reborn rank without a snapshot anchors over whatever stale rows the
+  // receiver still holds for the device: the anchor must replace them.
   DigestStore store;
   store.replace(1, {"old1", "old2"});
-  const auto d = diff_rows(1, {"old1", "old2"}, {"new"}, /*force_full=*/true);
-  EXPECT_TRUE(d.full);
+  dvm::DigestDelta d;
+  d.device = 1;
+  d.full = true;
+  d.added = {"new"};
   store.apply({d});
   EXPECT_EQ(*store.rows_for(1), (Rows{"new"}));
 }

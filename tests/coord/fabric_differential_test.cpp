@@ -2,8 +2,9 @@
 // must be invisible in the answers. A 3-level tree run (P=6, fanout=2 —
 // root, two aggregators, four leaves), a flat star run, and an in-process
 // ShardedRuntime replay must all produce byte-identical digest rows and
-// verdict counts; delta rollups must agree with full-anchor rollups; and
-// a scheduled link flap must not change any of it.
+// verdict counts; delta rollups collected after every phase must agree
+// with the replay too; and a scheduled link flap must not change any of
+// it.
 #include <gtest/gtest.h>
 
 #include "net/dist_testutil.hpp"
@@ -52,23 +53,20 @@ TEST(FabricDifferentialTest, ThreeLevelTreeMatchesStarAndShardedRuntime) {
   }
 }
 
-TEST(FabricDifferentialTest, DeltaRollupsMatchFullAnchors) {
+TEST(FabricDifferentialTest, EveryPhaseDeltaRollupsMatchShardedRuntime) {
   const auto& spec = dataset("INet2");
   const auto opts = small_opts();
   constexpr std::size_t kUpdates = 5;
+  const auto base = testutil::sharded_baseline(spec, opts, kUpdates);
 
-  auto full = inproc_tree(kUpdates);
-  full.anchor_every = 1;
-  full.collect_every_phase = true;
-  const auto full_res = dist_run(spec, opts, full);
-
+  // A collect round after every phase: each round after the first ships
+  // deltas against the previous one, through the aggregators' mirrors.
   auto deltas = inproc_tree(kUpdates);
-  deltas.anchor_every = 0;  // pure deltas after the first anchor
   deltas.collect_every_phase = true;
-  const auto delta_res = dist_run(spec, opts, deltas);
+  const auto res = dist_run(spec, opts, deltas);
 
-  EXPECT_EQ(delta_res.rows, full_res.rows);
-  EXPECT_EQ(delta_res.violations, full_res.violations);
+  EXPECT_EQ(res.rows, base.rows);
+  EXPECT_EQ(res.violations, base.violations);
 }
 
 TEST(FabricDifferentialTest, TreeUnderLinkFlapChaosConverges) {
@@ -78,7 +76,6 @@ TEST(FabricDifferentialTest, TreeUnderLinkFlapChaosConverges) {
   const auto base = testutil::sharded_baseline(spec, opts, kUpdates);
 
   auto dist = inproc_tree(kUpdates);
-  dist.anchor_every = 0;
   // Flap the leaf<->aggregator link from t=0 (the Hello exchange is
   // guaranteed to hit it) and an aggregator<->root link shortly after;
   // the chaos ARQ redelivers everything once each window closes.

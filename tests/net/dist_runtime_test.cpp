@@ -59,7 +59,7 @@ TEST(DistRuntimeTest, InprocRejectsChaosKill) {
   // The chaos hook _exits a process; only the forked transports support it.
   DistOptions dist;
   dist.kind = net::TransportKind::Inproc;
-  dist.kill_rank1_at_phase = 1;
+  dist.kills.push_back({1, 1});
   EXPECT_THROW((void)dist_run(dataset("INet2"), small_opts(), dist), Error);
 }
 

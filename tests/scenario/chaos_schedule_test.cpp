@@ -182,7 +182,7 @@ ScenarioSpec fancy_spec() {
   spec.chaos.linkdowns.push_back(LinkWindow{1, 3, 0.25, 0.75});
   spec.chaos.linkdowns.push_back(LinkWindow{0, 2, 1.0, 1.0});
   spec.kills.push_back(KillSpec{1, 4});
-  spec.kills.push_back(KillSpec{2, 9});
+  spec.kills.push_back(KillSpec{2, 9, 3});
   return spec;
 }
 
@@ -197,6 +197,8 @@ TEST(ScenarioSpecFormat, MultiLineRoundTrip) {
   EXPECT_EQ(parsed.kills[0].phase, 4u);
   EXPECT_EQ(parsed.kills[1].rank, 2u);
   EXPECT_EQ(parsed.kills[1].phase, 9u);
+  EXPECT_EQ(parsed.kills[0].after_frames, 0u);
+  EXPECT_EQ(parsed.kills[1].after_frames, 3u);
   EXPECT_EQ(parsed.churn.events, 500u);
   EXPECT_TRUE(parsed.churn.legacy);
   EXPECT_EQ(parsed.chaos.delay_max_s, spec.chaos.delay_max_s);
@@ -236,6 +238,7 @@ TEST(ScenarioSpecFormat, RejectsUnknownAndMalformed) {
   EXPECT_THROW((void)parse_scenario("chaos.loss"), Error);  // no '='
   EXPECT_THROW((void)parse_scenario("chaos.loss=abc"), Error);
   EXPECT_THROW((void)parse_scenario("churn.events=12x"), Error);
+  EXPECT_THROW((void)parse_scenario("kill.1=3+x"), Error);
   EXPECT_THROW((void)parse_churn_arg("chaos.loss=0.5;nope=1"), Error);
   // Malformed linkdown windows: missing separators, reversed interval.
   EXPECT_THROW((void)parse_chaos_arg("linkdown=1-2"), Error);

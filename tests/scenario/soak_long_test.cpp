@@ -71,13 +71,10 @@ TEST(SoakAcceptance, TreeFabricAggregatorKillSurvives) {
   so.harness.seed = 42;
   so.harness.max_destinations = 4;
   so.kind = net::TransportKind::Unix;
-  // Three-level coordinator tree (root; aggregators 1,2; leaves 3..6) with
-  // delta digests and snapshot catch-up — the fabric the flat soak above
-  // never exercises.
+  // Three-level coordinator tree (root; aggregators 1,2; leaves 3..6) —
+  // the fabric the flat soak above never exercises.
   so.device_procs = 6;
   so.tree_fanout = 2;
-  so.recovery = runtime::RecoveryMode::Catchup;
-  so.anchor_every = 0;
   // ~1 minute of paced arrivals at 2 Hz.
   so.scenario.churn.seed = 44;
   so.scenario.churn.events = 120;

@@ -4,6 +4,7 @@
 
 #include <deque>
 
+#include "runtime/digest.hpp"
 #include "spec/builtins.hpp"
 #include "testutil/figure2.hpp"
 
@@ -96,6 +97,33 @@ TEST_F(VerifierTest, WaypointViolationDetectedAndFixed) {
   net.initialize_all();
   EXPECT_FALSE(net.violations().empty());
 
+  net.apply(fig.b_reroute_to_w());
+  EXPECT_TRUE(net.violations().empty());
+}
+
+TEST_F(VerifierTest, UndoPointRestoresStateAtTheMark) {
+  const auto plan = planner.plan(b.waypoint(fig.P1(), fig.S, fig.W, fig.D));
+  VerifierNetwork net(fig, plan);
+  net.initialize_all();
+  const DeviceId n = fig.topo.device_count();
+  std::vector<std::vector<std::string>> at_mark;
+  for (DeviceId d = 0; d < n; ++d) {
+    at_mark.push_back(runtime::canonical_device_rows(net.device(d)));
+    net.device(d).mark_undo_point();
+  }
+
+  // The update changes the FIB/LEC tables of B and the engines along the
+  // cascade; restoring every device undoes all of it.
+  net.apply(fig.b_reroute_to_w());
+  ASSERT_TRUE(net.violations().empty());
+  for (DeviceId d = 0; d < n; ++d) net.device(d).restore_undo_point();
+  for (DeviceId d = 0; d < n; ++d) {
+    EXPECT_EQ(runtime::canonical_device_rows(net.device(d)), at_mark[d])
+        << "device " << d;
+  }
+  EXPECT_FALSE(net.violations().empty());
+
+  // The restored state is live: the same update fixes the violation again.
   net.apply(fig.b_reroute_to_w());
   EXPECT_TRUE(net.violations().empty());
 }

@@ -65,11 +65,11 @@ TEST(DistXformTest, TunnelProfileSurvivesRankKillByteIdentically) {
   dist.device_procs = 3;
   dist.n_updates = churn.events;
   dist.churn = churn;
-  dist.kill_rank1_at_phase = 2;  // rank 1 _exits when phase 2 begins
+  dist.kills.push_back({1, 2});  // rank 1 _exits when phase 2 begins
   const auto res = dist_run(spec, opts, dist);
 
   // The re-forked rank rebuilt the same rewrite-carrying world and the
-  // epoch replay reconverged on it.
+  // catch-up replay reconverged on it.
   EXPECT_GE(res.resets, 1u);
   EXPECT_EQ(res.violations, base.violations);
   EXPECT_EQ(res.rows, base.rows);

@@ -50,8 +50,6 @@ struct CliArgs {
   std::string scenario_dump;
   std::string scenario_replay;
   std::size_t tree_fanout = 0;
-  runtime::RecoveryMode recovery = runtime::RecoveryMode::Legacy;
-  std::uint32_t anchor_every = 1;
 };
 
 CliArgs parse(int argc, char** argv) {
@@ -94,20 +92,18 @@ CliArgs parse(int argc, char** argv) {
     } else if (const char* v = value("--chaos=")) {
       a.scenario.chaos = scenario::parse_chaos_arg(v);
     } else if (const char* v = value("--kill=")) {
-      // RANK@PHASE, repeatable.
+      // RANK@PHASE[+FRAMES], repeatable.
       const std::string kv = v;
       const auto at = kv.find('@');
-      if (at == std::string::npos) throw Error("--kill wants RANK@PHASE");
+      if (at == std::string::npos) {
+        throw Error("--kill wants RANK@PHASE[+FRAMES]");
+      }
       scenario::KillSpec k;
       k.rank = static_cast<net::PeerId>(std::stoul(kv.substr(0, at)));
-      k.phase = static_cast<std::uint32_t>(std::stoul(kv.substr(at + 1)));
+      scenario::parse_kill_when(kv.substr(at + 1), k);
       a.scenario.kills.push_back(k);
     } else if (const char* v = value("--tree-fanout=")) {
       a.tree_fanout = std::stoul(v);
-    } else if (const char* v = value("--recovery=")) {
-      a.recovery = runtime::parse_recovery_mode(v);
-    } else if (const char* v = value("--anchor-every=")) {
-      a.anchor_every = static_cast<std::uint32_t>(std::stoul(v));
     } else if (arg == "--pace") {
       a.pace = true;
     } else if (const char* v = value("--metrics-listen=")) {
@@ -136,14 +132,13 @@ CliArgs parse(int argc, char** argv) {
              "  --events=N --rate-hz=R --pace\n"
              "  --churn=SPEC --chaos=SPEC   (';'-separated k=v pairs;\n"
              "                               linkdown=A-B@T0..T1 flaps a link)\n"
-             "  --kill=RANK@PHASE           (repeatable; uds|tcp only)\n"
+             "  --kill=RANK@PHASE[+FRAMES]  (repeatable; uds|tcp only; +N dies\n"
+             "                               after the Nth data frame of PHASE)\n"
              "  --xform=0|1                 (packet-transform kill switch)\n"
              "  --xform-profile=0..3        (0 none, 1 NAT edge, 2 tunnel\n"
              "                               core, 3 ECMP spray)\n"
              "  --xform-fraction=F --acl-fraction=F\n"
              "  --tree-fanout=N             (0 = flat star coordination)\n"
-             "  --recovery=legacy|catchup   (reborn-rank resync protocol)\n"
-             "  --anchor-every=N            (digest anchor period; 1 = full)\n"
              "  --metrics-listen=IP:PORT    (SLOs asserted from the scrape)\n"
              "  --slo-p99-s=X --slo-recovery-s=X\n"
              "  --slo-rss-growth=BYTES --slo-bdd-growth=NODES\n"
@@ -210,8 +205,6 @@ int main(int argc, char** argv) {
     so.metrics_listen = args.metrics_listen;
     so.slo = args.slo;
     so.tree_fanout = args.tree_fanout;
-    so.recovery = args.recovery;
-    so.anchor_every = args.anchor_every;
     const auto rep = scenario::run_soak(so);
     std::cout << "soak: " << rep.events << " events over "
               << format_duration(rep.wall_s) << ", resets survived "
